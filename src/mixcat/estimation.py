@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mixcat._kernels import loglik_grad
 from mixcat.clustering import DistributedFrequencies
 
 
@@ -90,8 +89,8 @@ def pack_tokens(
     if not counter:
         raise ValueError("no tokens to estimate from")
     words = list(counter)
-    counts = np.ascontiguousarray([counter[w] for w in words], dtype=np.float64)
-    probs = np.ascontiguousarray(
+    counts = np.array([counter[w] for w in words], dtype=np.float64)
+    probs = np.array(
         [[float(dist.get(w, 0.0)) for w in words] for dist in dists],
         dtype=np.float64,
     )
@@ -104,13 +103,30 @@ def pack_tokens(
     return words, counts, probs
 
 
+def loglik_grad(counts, probs, theta):
+    """Per-token-average log likelihood of a mixture and its gradient
+    with respect to the component weights.
+
+    ``counts`` has one entry per token type, ``probs`` one row per
+    mixture component, ``theta`` the component weights.  Returns
+    ``(L, grad)`` where ``L = (1/N) sum_t c_t log(mix_t)`` and
+    ``grad_j = (1/N) sum_t c_t p_jt / mix_t``.  Raises ValueError if
+    any token type has zero probability under the whole mixture.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    mix = theta @ probs
+    if np.any(mix <= 0.0):
+        raise ValueError("mixture probability vanished for a token type")
+    total = float(counts.sum())
+    loglik = float(counts @ np.log(mix)) / total
+    grad = (probs @ (counts / mix)) / total
+    return loglik, grad
+
+
 def _eval_packed(counts, probs, theta):
-    loglik, grad = loglik_grad(
-        np.ascontiguousarray(counts, dtype=np.float64),
-        np.ascontiguousarray(probs, dtype=np.float64),
-        np.ascontiguousarray(theta, dtype=np.float64),
-    )
-    grad = np.asarray(grad)
+    loglik, grad = loglik_grad(counts, probs, theta)
     # the weighted gradient always averages to one over the simplex
     assert abs(float(np.asarray(theta) @ grad) - 1.0) <= 1e-10
     return loglik, grad

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from mixcat.corpus import LabeledCorpus
-from mixcat.models import Decision, classify_document
+from mixcat.models import Decision, classify_document, threshold_outcome
 
 OUTCOMES = ("positive", "negative", "unclassified")
 
@@ -126,7 +126,8 @@ class PRCurve:
 class BreakEven:
     """Break-even value plus how it was obtained.
 
-    kind is "exact" (a sweep point had precision == recall),
+    kind is "exact" (a sweep point had precision == recall > 0; a
+    point where both are 0 has no true positives and is skipped),
     "interpolated" (linear interpolation at a sign change of
     precision - recall), or "extrapolated" (no crossing anywhere: the
     midpoint of the closest pair, to be read with caution).
@@ -154,17 +155,6 @@ def _validate_grid(grid: Sequence[float]) -> None:
     for a, b in zip(grid, grid[1:]):
         if not b > a:
             raise ValueError("epsilon grid must be strictly increasing")
-
-
-def _thresholded(score: float | None, epsilon: float) -> str:
-    # same branch order as the model decision rule
-    if score is None:
-        return "unclassified"
-    if score > epsilon:
-        return "positive"
-    if -score >= epsilon:
-        return "negative"
-    return "unclassified"
 
 
 def score_documents(models: Sequence, corpus: LabeledCorpus) -> dict:
@@ -207,7 +197,7 @@ def sweep(
     points = []
     for epsilon in grid:
         decisions = {
-            pair: _thresholded(score, epsilon) for pair, score in scores.items()
+            pair: threshold_outcome(score, epsilon) for pair, score in scores.items()
         }
         pr = micro_pr(decisions, gold, categories)
         points.append(CurvePoint(epsilon, pr.precision, pr.recall))
@@ -220,7 +210,7 @@ def break_even(curve: PRCurve) -> BreakEven:
     if not points:
         raise ValueError("cannot take the break-even point of an empty curve")
     for point in points:
-        if point.precision == point.recall:
+        if point.precision == point.recall and point.precision > 0.0:
             return BreakEven(point.precision, "exact")
     for a, b in zip(points, points[1:]):
         da = a.precision - a.recall

@@ -33,7 +33,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mixcat._kernels import weighted_log_mixture
 from mixcat.clustering import (
     Clustering,
     distribute_frequencies,
@@ -261,12 +260,17 @@ def train_cos(
     return CosineModel(category, vocab, positive, negative)
 
 
-def _packed_loglik(counts, rows, theta):
-    return weighted_log_mixture(
-        np.ascontiguousarray(counts, dtype=np.float64),
-        np.ascontiguousarray(rows, dtype=np.float64),
-        np.ascontiguousarray(theta, dtype=np.float64),
-        PROB_FLOOR,
+def weighted_log_mixture(counts, probs, theta, floor) -> float:
+    """Sum of count-weighted log mixture probabilities.
+
+    ``counts`` has one entry per token type, ``probs`` one row per
+    mixture component, ``theta`` the component weights.  Mixture values
+    below ``floor`` are clamped before the log so out-of-model tokens
+    produce a large finite penalty instead of -inf.
+    """
+    mix = np.asarray(theta, dtype=np.float64) @ np.asarray(probs, dtype=np.float64)
+    return float(
+        np.asarray(counts, dtype=np.float64) @ np.log(np.maximum(mix, floor))
     )
 
 
@@ -288,8 +292,12 @@ def doc_log_likelihood(model, tokens: Iterable[str]) -> tuple[float, float, int]
         words = list(counter)
         counts = [counter[w] for w in words]
         one = (1.0,)
-        pos = _packed_loglik(counts, [[model.positive[w] for w in words]], one)
-        neg = _packed_loglik(counts, [[model.negative[w] for w in words]], one)
+        pos = weighted_log_mixture(
+            counts, [[model.positive[w] for w in words]], one, PROB_FLOOR
+        )
+        neg = weighted_log_mixture(
+            counts, [[model.negative[w] for w in words]], one, PROB_FLOOR
+        )
         return pos, neg, sum(counts)
     if isinstance(model, HardClusterModel):
         assignments = model.clustering.assignments
@@ -301,8 +309,12 @@ def doc_log_likelihood(model, tokens: Iterable[str]) -> tuple[float, float, int]
         ids = list(counter)
         counts = [counter[j] for j in ids]
         one = (1.0,)
-        pos = _packed_loglik(counts, [[model.positive[j] for j in ids]], one)
-        neg = _packed_loglik(counts, [[model.negative[j] for j in ids]], one)
+        pos = weighted_log_mixture(
+            counts, [[model.positive[j] for j in ids]], one, PROB_FLOOR
+        )
+        neg = weighted_log_mixture(
+            counts, [[model.negative[j] for j in ids]], one, PROB_FLOOR
+        )
         return pos, neg, sum(counts)
     if isinstance(model, MixtureModel):
         assignments = model.clustering.assignments
@@ -312,10 +324,26 @@ def doc_log_likelihood(model, tokens: Iterable[str]) -> tuple[float, float, int]
         words = list(counter)
         counts = [counter[w] for w in words]
         rows = [[dist.get(w, 0.0) for w in words] for dist in model.cluster_words]
-        pos = _packed_loglik(counts, rows, model.positive_theta)
-        neg = _packed_loglik(counts, rows, model.negative_theta)
+        pos = weighted_log_mixture(counts, rows, model.positive_theta, PROB_FLOOR)
+        neg = weighted_log_mixture(counts, rows, model.negative_theta, PROB_FLOOR)
         return pos, neg, sum(counts)
     raise TypeError(f"not a likelihood model: {type(model).__name__}")
+
+
+def threshold_outcome(score: float | None, epsilon: float) -> str:
+    """The rejection-threshold rule on a normalized score.
+
+    Positive when the score exceeds epsilon, negative when the negated
+    score reaches epsilon (ties therefore fall to the negative side),
+    unclassified otherwise and when there is no score at all.
+    """
+    if score is None:
+        return "unclassified"
+    if score > epsilon:
+        return "positive"
+    if -score >= epsilon:
+        return "negative"
+    return "unclassified"
 
 
 def decide(
@@ -323,21 +351,15 @@ def decide(
 ) -> Decision:
     """Apply the rejection-threshold rule to a pair of log likelihoods.
 
-    The normalized score is ``(logl_pos - logl_neg) / n_eff``.  The
-    document is positive when the score exceeds epsilon, negative when
-    the negated score reaches epsilon (ties therefore fall to the
-    negative side), and unclassified otherwise.
+    The normalized score is ``(logl_pos - logl_neg) / n_eff``; see
+    ``threshold_outcome`` for the rule.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if n_eff < 1:
         raise ValueError("decision needs at least one scored token")
     score = (logl_pos - logl_neg) / n_eff
-    if score > epsilon:
-        return Decision("positive", score)
-    if -score >= epsilon:
-        return Decision("negative", score)
-    return Decision("unclassified", score)
+    return Decision(threshold_outcome(score, epsilon), score)
 
 
 def cosine_decide(model: CosineModel, tokens: Iterable[str], epsilon: float) -> Decision:
@@ -359,11 +381,7 @@ def cosine_decide(model: CosineModel, tokens: Iterable[str], epsilon: float) -> 
     for sign, side in ((1.0, model.positive), (-1.0, model.negative)):
         vec = np.asarray(side, dtype=np.float64)
         score += sign * float(doc @ vec) / (norm * float(np.linalg.norm(vec)))
-    if score > epsilon:
-        return Decision("positive", score)
-    if -score >= epsilon:
-        return Decision("negative", score)
-    return Decision("unclassified", score)
+    return Decision(threshold_outcome(score, epsilon), score)
 
 
 def classify_document(model, tokens: Sequence[str], epsilon: float) -> Decision:
@@ -408,14 +426,6 @@ def _clustering_payload(clustering: Clustering) -> dict:
     }
 
 
-def _clustering_from_payload(payload: dict) -> Clustering:
-    return from_member_sets(
-        [set(members) for members in payload["clusters"]],
-        tuple(payload["vocabulary"]),
-        payload["related_categories"],
-    )
-
-
 def save_model(model, path) -> None:
     """Write a model as a JSON document.
 
@@ -458,70 +468,171 @@ def save_model(model, path) -> None:
         handle.write("\n")
 
 
-def _check_simplex(values, what: str) -> None:
-    if any(not math.isfinite(v) or v < 0 for v in values):
-        raise ValueError(f"{what} has negative or non-finite entries")
+# Load-time validation.  Every check is a single pass over its field,
+# so validating costs time linear in the size of the file.  Failures are
+# ValueErrors naming the field as a dotted path ("clustering.vocabulary").
+
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _field(payload: dict, key: str, kind: type, name: str | None = None):
+    name = name or key
+    if key not in payload:
+        raise ValueError(f"model file has no {name!r} field")
+    value = payload[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"model field {name!r} must be {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _vector(payload: dict, key: str, length: int, per: str) -> list:
+    values = _field(payload, key, list)
+    if len(values) != length:
+        raise ValueError(
+            f"model field {key!r} has {len(values)} entries, "
+            f"expected {length} (one per {per})"
+        )
+    return values
+
+
+def _word_set(words, name: str) -> set:
+    """The words of a list that must hold distinct strings."""
+    if not isinstance(words, list) or not {str}.issuperset(map(type, words)):
+        raise ValueError(f"model field {name!r} must be a list of strings")
+    distinct = set(words)
+    if len(distinct) != len(words):
+        raise ValueError(f"model field {name!r} has duplicate entries")
+    return distinct
+
+
+def _check_nonnegative(values, name: str) -> None:
+    if not {int, float}.issuperset(map(type, values)):
+        raise ValueError(f"model field {name!r} has a non-numeric entry")
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite or min(values, default=0) < 0:
+        raise ValueError(f"model field {name!r} has negative or non-finite entries")
+
+
+def _check_simplex(values, name: str) -> None:
+    _check_nonnegative(values, name)
     if abs(sum(values) - 1.0) > 1e-9:
-        raise ValueError(f"{what} does not sum to 1")
+        raise ValueError(f"model field {name!r} does not sum to 1")
+
+
+def _clustering_from_payload(payload: dict) -> Clustering:
+    section = _field(payload, "clustering", dict)
+    vocabulary = _field(section, "vocabulary", list, "clustering.vocabulary")
+    known = _word_set(vocabulary, "clustering.vocabulary")
+    clusters = _field(section, "clusters", list, "clustering.clusters")
+    members = []
+    for j, cluster in enumerate(clusters):
+        name = f"clustering.clusters[{j}]"
+        cluster = _word_set(cluster, name)
+        if not cluster <= known:
+            raise ValueError(f"model field {name!r} has words outside the vocabulary")
+        members.append(cluster)
+    if "related_categories" not in section:
+        raise ValueError("model file has no 'clustering.related_categories' field")
+    related = section["related_categories"]
+    if related is not None:
+        _word_set(related, "clustering.related_categories")
+        if len(related) != len(clusters):
+            raise ValueError(
+                "model field 'clustering.related_categories' needs one "
+                f"category per cluster: {len(related)} for {len(clusters)} clusters"
+            )
+    return from_member_sets(members, tuple(vocabulary), related)
 
 
 def load_model(path):
     """Read a model written by ``save_model``, validating its shape.
 
     Lines starting with ``#`` (the CLI's configuration header) are
-    ignored.
+    ignored.  A malformed file raises ValueError naming the field at
+    fault: vectors must have one entry per word or cluster, word lists
+    must be free of duplicates, cluster members must come from the
+    vocabulary, and every distribution must sum to 1.
     """
     with open(path, encoding="utf-8") as handle:
-        text = "".join(
-            line for line in handle if not line.startswith("#")
+        text = handle.read()
+    if text.startswith("#") or "\n#" in text:
+        text = "\n".join(
+            line for line in text.split("\n") if not line.startswith("#")
         )
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("a model file must hold a JSON object")
     version = payload.get("schema_version")
     if version != _SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version: {version!r}")
     method = payload.get("method")
-    category = payload["category"]
+    category = _field(payload, "category", str)
+    settings = payload.get("settings", {})
+    if not isinstance(settings, dict):
+        raise ValueError("model field 'settings' must be an object")
+    if method in ("wbm", "cos"):
+        vocab = _field(payload, "vocabulary", list)
+        _word_set(vocab, "vocabulary")
+        positive = _vector(payload, "positive", len(vocab), "vocabulary word")
+        negative = _vector(payload, "negative", len(vocab), "vocabulary word")
     if method == "wbm":
-        vocab = payload["vocabulary"]
-        positive = dict(zip(vocab, payload["positive"]))
-        negative = dict(zip(vocab, payload["negative"]))
-        _check_simplex(positive.values(), "positive word distribution")
-        _check_simplex(negative.values(), "negative word distribution")
-        return WordModel(category, positive, negative)
+        _check_simplex(positive, "positive")
+        _check_simplex(negative, "negative")
+        return WordModel(
+            category, dict(zip(vocab, positive)), dict(zip(vocab, negative))
+        )
     if method == "hcm":
-        clustering = _clustering_from_payload(payload["clustering"])
-        positive = tuple(payload["positive"])
-        negative = tuple(payload["negative"])
-        _check_simplex(positive, "positive cluster distribution")
-        _check_simplex(negative, "negative cluster distribution")
+        clustering = _clustering_from_payload(payload)
+        clusters = clustering.clusters
+        # disjoint exactly when the cluster sizes add up to their union's
+        if sum(map(len, clusters)) != len(frozenset().union(*clusters)):
+            raise ValueError(
+                "model field 'clustering.clusters' overlaps; "
+                "a hard-cluster model needs disjoint clusters"
+            )
+        positive = _vector(payload, "positive", clustering.m, "cluster")
+        negative = _vector(payload, "negative", clustering.m, "cluster")
+        _check_simplex(positive, "positive")
+        _check_simplex(negative, "negative")
         return HardClusterModel(
-            category, clustering, positive, negative, payload.get("settings", {})
+            category, clustering, tuple(positive), tuple(negative), settings
         )
     if method == "fmm":
-        clustering = _clustering_from_payload(payload["clustering"])
-        cluster_words = tuple(dict(d) for d in payload["cluster_words"])
-        for j, dist in enumerate(cluster_words):
-            _check_simplex(dist.values(), f"word distribution of cluster {j + 1}")
-        positive_theta = tuple(payload["positive_theta"])
-        negative_theta = tuple(payload["negative_theta"])
-        _check_simplex(positive_theta, "positive mixture weights")
-        _check_simplex(negative_theta, "negative mixture weights")
+        clustering = _clustering_from_payload(payload)
+        dists = _vector(payload, "cluster_words", clustering.m, "cluster")
+        for j, (dist, members) in enumerate(zip(dists, clustering.clusters)):
+            name = f"cluster_words[{j}]"
+            if not isinstance(dist, dict):
+                raise ValueError(f"model field {name!r} must be an object")
+            if not dist.keys() <= members:
+                raise ValueError(
+                    f"model field {name!r} has words outside cluster {j}"
+                )
+            _check_simplex(dist.values(), name)
+        positive_theta = _vector(payload, "positive_theta", clustering.m, "cluster")
+        negative_theta = _vector(payload, "negative_theta", clustering.m, "cluster")
+        _check_simplex(positive_theta, "positive_theta")
+        _check_simplex(negative_theta, "negative_theta")
         return MixtureModel(
             category,
             clustering,
-            cluster_words,
-            positive_theta,
-            negative_theta,
-            payload.get("settings", {}),
+            tuple(dists),
+            tuple(positive_theta),
+            tuple(negative_theta),
+            settings,
         )
     if method == "cos":
-        vocab = tuple(payload["vocabulary"])
-        positive = tuple(float(v) for v in payload["positive"])
-        negative = tuple(float(v) for v in payload["negative"])
         for name, side in (("positive", positive), ("negative", negative)):
-            if any(v < 0 or not math.isfinite(v) for v in side):
-                raise ValueError(f"{name} frequency vector has invalid entries")
+            _check_nonnegative(side, name)
             if not any(side):
-                raise ValueError(f"{name} frequency vector is all zero")
-        return CosineModel(category, vocab, positive, negative)
+                raise ValueError(f"model field {name!r} is all zero")
+        return CosineModel(
+            category,
+            tuple(vocab),
+            tuple(float(v) for v in positive),
+            tuple(float(v) for v in negative),
+        )
     raise ValueError(f"unknown model method: {method!r}")

@@ -186,6 +186,26 @@ class TestClassify:
         assert code == 1
         assert "nonnegative" in capsys.readouterr().err
 
+    def test_malformed_model_is_reported_without_traceback(
+        self, tmp_path, sports_file, capsys
+    ):
+        model_path = tmp_path / "c1.json"
+        assert main([
+            "train", "--train", str(sports_file), "--model", str(model_path),
+            "--method", "hcm", "--category", "c1", "--gamma", "0.5",
+        ]) == 0
+        lines = model_path.read_text(encoding="utf-8").splitlines()
+        payload = json.loads("\n".join(x for x in lines if not x.startswith("#")))
+        payload["positive"] = payload["positive"][:-1]  # one cluster short
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["classify", "--model", str(model_path), "--input", str(sports_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixcat: error while loading the model: ")
+        assert "'positive'" in err
+        assert "Traceback" not in err
+
     def test_missing_model_flag(self, sports_file, capsys):
         code = main(["classify", "--input", str(sports_file)])
         assert code == 1

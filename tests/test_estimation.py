@@ -20,7 +20,7 @@ from mixcat import (
     mle_word_distribution,
     soft_clusters,
 )
-from mixcat.estimation import pack_tokens
+from mixcat.estimation import loglik_grad, pack_tokens
 
 # the example cluster word distributions and per-side training pools,
 # spelled out so the fitting tests do not depend on the training code
@@ -198,6 +198,14 @@ class TestGradient:
             grad = gradient(theta, dists, tokens)
             assert numeric == pytest.approx(grad[j] - grad[k], rel=1e-4)
             checked += 1
+
+
+def test_gradient_kernel_rejects_vanished_mixture():
+    counts = np.array([1.0])
+    probs = np.array([[0.0]])
+    theta = np.array([1.0])
+    with pytest.raises(ValueError, match="vanished"):
+        loglik_grad(counts, probs, theta)
 
 
 class TestEmStep:

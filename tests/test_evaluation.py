@@ -235,6 +235,18 @@ class TestBreakEven:
         assert result.kind == "interpolated"
         assert result.value == pytest.approx(0.75, rel=1e-12)
 
+    def test_zero_hit_point_is_not_a_break_even(self):
+        # precision == recall == 0 means tp = 0; the real crossing lies
+        # between the next two points
+        curve = PRCurve((
+            CurvePoint(0.0, 0.0, 0.0),
+            CurvePoint(0.05, 0.112, 0.140),
+            CurvePoint(0.1, 0.061, 0.005),
+        ))
+        result = break_even(curve)
+        assert result.kind == "interpolated"
+        assert result.value == pytest.approx(0.095, rel=1e-12)
+
     def test_no_crossing_extrapolates_from_closest_point(self):
         curve = PRCurve((
             CurvePoint(0.0, 0.3, 0.9),

@@ -1,7 +1,10 @@
 """Training, scoring, deciding, and persisting the four classifiers."""
 
+import copy
+import json
 import math
 
+import numpy as np
 import pytest
 
 from mixcat import (
@@ -23,6 +26,7 @@ from mixcat import (
     train_hcm,
     train_wbm,
 )
+from mixcat.models import weighted_log_mixture
 
 
 class TestWordModel:
@@ -302,6 +306,94 @@ class TestDispatch:
         ).outcome == "negative"
 
 
+_DROP = object()  # marks a field to delete from a payload
+
+_VALID_PAYLOADS = {
+    "wbm": {
+        "schema_version": 1, "method": "wbm", "category": "a", "settings": {},
+        "vocabulary": ["x", "y"], "positive": [0.5, 0.5], "negative": [0.25, 0.75],
+    },
+    "hcm": {
+        "schema_version": 1, "method": "hcm", "category": "a", "settings": {},
+        "clustering": {
+            "vocabulary": ["x", "y", "z"],
+            "related_categories": None,
+            "clusters": [["x"], ["y", "z"]],
+        },
+        "positive": [0.5, 0.5], "negative": [0.25, 0.75],
+    },
+    "fmm": {
+        "schema_version": 1, "method": "fmm", "category": "a", "settings": {},
+        "clustering": {
+            "vocabulary": ["x", "y", "z"],
+            "related_categories": ["a", "~a"],
+            "clusters": [["x", "y"], ["y", "z"]],
+        },
+        "cluster_words": [{"x": 0.5, "y": 0.5}, {"y": 0.5, "z": 0.5}],
+        "positive_theta": [0.5, 0.5], "negative_theta": [0.25, 0.75],
+    },
+    "cos": {
+        "schema_version": 1, "method": "cos", "category": "a", "settings": {},
+        "vocabulary": ["x", "y"], "positive": [1.0, 0.0], "negative": [0.0, 2.0],
+    },
+}
+
+
+_MALFORMED = [  # (id, base payload, path to the field, new value, error)
+    ("not-an-object", None, (), [1, 2], "JSON object"),
+    ("wbm-no-category", "wbm", ("category",), _DROP, "no 'category' field"),
+    ("wbm-category-type", "wbm", ("category",), 5, "'category' must be a string"),
+    ("wbm-settings-type", "wbm", ("settings",), [], "'settings' must be an object"),
+    ("wbm-vocabulary-type", "wbm", ("vocabulary",), "xy",
+     "'vocabulary' must be a list"),
+    ("wbm-vocabulary-entries", "wbm", ("vocabulary",), [1, "y"],
+     "'vocabulary' must be a list of strings"),
+    ("wbm-vocabulary-duplicates", "wbm", ("vocabulary",), ["x", "x"],
+     "'vocabulary' has duplicate"),
+    ("wbm-positive-short", "wbm", ("positive",), [1.0],
+     "'positive' has 1 entries, expected 2"),
+    ("wbm-negative-long", "wbm", ("negative",), [0.25, 0.25, 0.5],
+     "'negative' has 3 entries"),
+    ("wbm-positive-strings", "wbm", ("positive",), ["0.5", "0.5"],
+     "'positive' has a non-numeric"),
+    ("wbm-positive-overflow", "wbm", ("positive",), [10**400, 0.5],
+     "'positive' has negative or non-finite entries"),
+    ("hcm-no-clustering", "hcm", ("clustering",), _DROP, "no 'clustering' field"),
+    ("hcm-positive-short", "hcm", ("positive",), [1.0],
+     r"'positive' has 1 entries, .* per cluster"),
+    ("hcm-negative-long", "hcm", ("negative",), [0.2, 0.3, 0.5],
+     "'negative' has 3 entries"),
+    ("hcm-vocabulary-duplicates", "hcm", ("clustering", "vocabulary"), ["x", "y", "y"],
+     "'clustering.vocabulary' has duplicate"),
+    ("hcm-member-outside-vocabulary", "hcm", ("clustering", "clusters"),
+     [["x"], ["y", "w"]],
+     r"'clustering.clusters\[1\]' has words outside the vocabulary"),
+    ("hcm-cluster-type", "hcm", ("clustering", "clusters"), [["x"], "yz"],
+     r"'clustering.clusters\[1\]' must be a list of strings"),
+    ("hcm-overlapping-clusters", "hcm", ("clustering", "clusters"),
+     [["x", "y"], ["y", "z"]], "overlaps"),
+    ("hcm-no-related-categories", "hcm", ("clustering", "related_categories"), _DROP,
+     "no 'clustering.related_categories' field"),
+    ("fmm-related-categories-short", "fmm", ("clustering", "related_categories"),
+     ["a"], "one category per cluster"),
+    ("fmm-positive-theta-short", "fmm", ("positive_theta",), [1.0],
+     "'positive_theta' has 1 entries"),
+    ("fmm-negative-theta-long", "fmm", ("negative_theta",), [0.2, 0.3, 0.5],
+     "'negative_theta' has 3 entries"),
+    ("fmm-cluster-words-short", "fmm", ("cluster_words",), [{"x": 0.5, "y": 0.5}],
+     "'cluster_words' has 1 entries"),
+    ("fmm-cluster-words-type", "fmm", ("cluster_words", 0), [0.5, 0.5],
+     r"'cluster_words\[0\]' must be an object"),
+    ("fmm-cluster-words-outside-cluster", "fmm", ("cluster_words", 0),
+     {"x": 0.5, "z": 0.5}, "outside cluster 0"),
+    ("fmm-cluster-words-sum", "fmm", ("cluster_words", 1), {"y": 0.5, "z": 0.6},
+     r"'cluster_words\[1\]' does not sum to 1"),
+    ("cos-negative-short", "cos", ("negative",), [2.0], "'negative' has 1 entries"),
+    ("cos-positive-null", "cos", ("positive",), [1.0, None],
+     "'positive' has a non-numeric"),
+]
+
+
 class TestPersistence:
     @pytest.fixture
     def models(self, sports_corpus):
@@ -386,6 +478,30 @@ class TestPersistence:
         with pytest.raises(ValueError, match="all zero"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        ("base", "path", "value", "message"),
+        [pytest.param(*case[1:], id=case[0]) for case in _MALFORMED],
+    )
+    def test_malformed_files_name_the_field(self, tmp_path, base, path, value, message):
+        path_to_model = tmp_path / "m.json"
+        if base is None:
+            payload = value
+        else:
+            payload = copy.deepcopy(_VALID_PAYLOADS[base])
+            path_to_model.write_text(json.dumps(payload))
+            load_model(path_to_model)  # the unbroken payload is accepted
+            *parents, last = path
+            holder = payload
+            for key in parents:
+                holder = holder[key]
+            if value is _DROP:
+                del holder[last]
+            else:
+                holder[last] = value
+        path_to_model.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_model(path_to_model)
+
     def test_assembled_models_need_no_training_corpus(self):
         """Models built from externally chosen parameters score fine."""
         model = WordModel("a", {"x": 0.9, "y": 0.1}, {"x": 0.2, "y": 0.8})
@@ -399,3 +515,19 @@ class TestPersistence:
         save_model(model, path)
         path.write_text("# a header line\n# another\n" + path.read_text())
         assert load_model(path).positive == model.positive
+
+
+def test_weighted_log_mixture_hand_values():
+    counts = np.array([2.0, 1.0])
+    probs = np.array([[0.5, 0.25]])
+    theta = np.array([1.0])
+    value = weighted_log_mixture(counts, probs, theta, 0.0)
+    assert value == pytest.approx(math.log(0.0625), rel=1e-15)
+
+
+def test_floor_clamps_vanishing_probabilities():
+    counts = np.array([3.0])
+    probs = np.array([[0.0]])
+    theta = np.array([1.0])
+    value = weighted_log_mixture(counts, probs, theta, 1e-12)
+    assert value == pytest.approx(3 * math.log(1e-12), rel=1e-15)
