@@ -62,63 +62,51 @@ def _invalid(message: str) -> CliError:
 # per-command configuration schema: key -> (coerce, default).  argparse
 # leaves every flag at None so that the precedence merge can tell "not
 # given" from any real value.
-def _float(v):
-    return float(v)
-
-
-def _int(v):
-    return int(v)
-
-
-def _str(v):
-    return str(v)
-
-
 _COMMON_TRAIN_KEYS = {
-    "method": (_str, None),
-    "category": (_str, None),
-    "gamma": (_float, None),
-    "top_l": (_int, None),
-    "top_m": (_int, None),
-    "eta": (_float, 1.0),
-    "iters": (_int, 100),
-    "tol": (_float, 1e-8),
-    "multilabel": (_str, "positive"),
+    "method": (str, None),
+    "category": (str, None),
+    "gamma": (float, None),
+    "top_l": (int, None),
+    "top_m": (int, None),
+    "eta": (float, 1.0),
+    "iters": (int, 100),
+    "tol": (float, 1e-8),
+    "multilabel": (str, "positive"),
 }
 
 SCHEMAS = {
     "train": {
-        "train": (_str, None),
-        "model": (_str, None),
-        "trace": (_str, None),
+        "train": (str, None),
+        "model": (str, None),
+        "trace": (str, None),
         **_COMMON_TRAIN_KEYS,
     },
     "classify": {
-        "model": (_str, None),
-        "input": (_str, None),
-        "output": (_str, None),
-        "epsilon": (_float, 0.0),
+        "model": (str, None),
+        "input": (str, None),
+        "output": (str, None),
+        "epsilon": (float, 0.0),
     },
     "eval": {
-        "train": (_str, None),
-        "test": (_str, None),
-        "output": (_str, None),
-        "eps_max": (_float, 0.5),
-        "eps_step": (_float, 0.005),
+        "train": (str, None),
+        "test": (str, None),
+        "output": (str, None),
+        "eps_max": (float, 0.5),
+        "eps_step": (float, 0.005),
         **_COMMON_TRAIN_KEYS,
     },
     "clusters": {
-        "train": (_str, None),
-        "output": (_str, None),
-        "category": (_str, None),
-        "gamma": (_float, None),
-        "top_l": (_int, None),
-        "top_m": (_int, None),
-        "multilabel": (_str, "positive"),
+        "train": (str, None),
+        "output": (str, None),
+        "category": (str, None),
+        "gamma": (float, None),
+        "top_l": (int, None),
+        "top_m": (int, None),
+        "multilabel": (str, "positive"),
     },
     "counts": {
-        "train": (_str, None),
-        "output": (_str, None),
+        "train": (str, None),
+        "output": (str, None),
     },
 }
 

@@ -24,20 +24,26 @@ from mixcat.counts import FrequencyTable
 class Clustering:
     """Cluster membership over a vocabulary.
 
-    ``related_categories`` ties cluster i to category i for the
-    threshold scheme and is None for the rank scheme.  ``assignments``
-    maps each non-discarded word to its cluster indices.
+    ``m`` counts the clusters, empty ones included.  ``related_categories``
+    ties cluster i to category i for the threshold scheme and is None for
+    the rank scheme.  ``assignments`` maps each non-discarded word to its
+    cluster indices, in vocabulary order; ``clusters`` and ``discarded``
+    are derived from it.
     """
 
-    clusters: tuple[frozenset[str], ...]
+    m: int
     vocabulary: tuple[str, ...]
     related_categories: tuple[str, ...] | None
     assignments: Mapping[str, tuple[int, ...]]
-    discarded: frozenset[str]
 
     @property
-    def m(self) -> int:
-        return len(self.clusters)
+    def clusters(self) -> tuple[frozenset[str], ...]:
+        items = self.assignments.items()
+        return tuple(frozenset(w for w, js in items if j in js) for j in range(self.m))
+
+    @property
+    def discarded(self) -> frozenset[str]:
+        return frozenset(self.vocabulary).difference(self.assignments)
 
     def clusters_of(self, word: str) -> tuple[int, ...]:
         """Cluster indices holding ``word`` (empty if discarded or unknown)."""
@@ -51,22 +57,21 @@ class Clustering:
 def from_member_sets(clusters, vocabulary, related_categories) -> Clustering:
     """Assemble a Clustering from explicit member sets.
 
-    Derives the assignment map and the discarded set; words outside
-    every cluster are discarded.  Also the rebuild path for persisted
-    models.
+    Derives the assignment map; vocabulary words outside every cluster
+    are discarded, other members ignored.  Also the rebuild path for
+    persisted models.
     """
-    assignments = {}
-    for word in vocabulary:
-        ids = tuple(j for j, members in enumerate(clusters) if word in members)
-        if ids:
-            assignments[word] = ids
-    discarded = frozenset(w for w in vocabulary if w not in assignments)
+    clusters = tuple(clusters)
+    ids: dict[str, tuple[int, ...]] = {}
+    for j, members in enumerate(clusters):
+        single = (j,)  # shared by every word found in cluster j alone
+        for word in members:
+            ids[word] = ids[word] + single if word in ids else single
     return Clustering(
-        tuple(frozenset(c) for c in clusters),
+        len(clusters),
         tuple(vocabulary),
         tuple(related_categories) if related_categories is not None else None,
-        assignments,
-        discarded,
+        {w: ids[w] for w in vocabulary if w in ids},
     )
 
 
@@ -123,19 +128,20 @@ def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
 
 @dataclass(frozen=True)
 class DistributedFrequencies:
-    """Per-cluster word frequencies as exact rationals.
+    """Per-cluster word frequencies as exact integer counts.
 
     For every assigned word the cluster shares sum back to the word's
-    total count; rounding happens only at presentation time.
+    total count.  Only an uneven split makes a ``Fraction``; the binary
+    protocol never does.  Rounding happens once, in the estimators.
     """
 
-    cluster_words: tuple[dict[str, Fraction], ...]
+    cluster_words: tuple[dict[str, int | Fraction], ...]
 
-    def word_freq(self, cluster: int, word: str) -> Fraction:
-        return self.cluster_words[cluster].get(word, Fraction(0))
+    def word_freq(self, cluster: int, word: str) -> int | Fraction:
+        return self.cluster_words[cluster].get(word, 0)
 
-    def cluster_total(self, cluster: int) -> Fraction:
-        return sum(self.cluster_words[cluster].values(), Fraction(0))
+    def cluster_total(self, cluster: int) -> int | Fraction:
+        return sum(self.cluster_words[cluster].values())
 
 
 def distribute_frequencies(
@@ -150,16 +156,17 @@ def distribute_frequencies(
     """
     if clustering.related_categories is None:
         raise ValueError("frequency distribution needs category-related clusters")
-    rows: list[dict[str, Fraction]] = [{} for _ in clustering.clusters]
+    rows: list[dict[str, int | Fraction]] = [{} for _ in range(clustering.m)]
     for word, ids in clustering.assignments.items():
         total = table.word_total(word)
         if len(ids) == 1:
-            rows[ids[0]][word] = Fraction(total)
+            rows[ids[0]][word] = total
             continue
         weights = [table.count(clustering.related_categories[j], word) for j in ids]
         denom = sum(weights)
         for j, weight in zip(ids, weights):
             # assignment implies a positive count in the related category
             assert weight > 0, (word, j)
-            rows[j][word] = Fraction(total * weight, denom)
+            share, rest = divmod(total * weight, denom)
+            rows[j][word] = Fraction(total * weight, denom) if rest else share
     return DistributedFrequencies(tuple(rows))

@@ -8,7 +8,7 @@ document order agree, and a finished table is immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from mixcat.corpus import LabeledCorpus
 
@@ -97,10 +97,7 @@ def cluster_frequencies(
     category.  Words the clustering discarded contribute nowhere.
     """
     out: dict[tuple[str, int], int] = {}
-    members: Mapping[int, Sequence[str]] = {
-        j: sorted(cluster) for j, cluster in enumerate(clustering.clusters)
-    }
-    for category in table.categories:
-        for j, words in members.items():
+    for j, words in enumerate(clustering.clusters):
+        for category in table.categories:
             out[(category, j)] = sum(table.count(category, w) for w in words)
     return out

@@ -5,6 +5,10 @@ for cluster-given-category distributions, exact maximum-likelihood
 normalization within clusters, and an exponentiated-gradient EM loop
 for mixture weights.
 
+Counts are exact integers and each probability is rounded once, by
+Python's correctly rounded ``int / int``; a ``Fraction`` count (an
+uneven split over clusters) stays exact.
+
 The EM update is ``theta_j <- theta_j * (eta * (grad_j - 1) + 1)``
 with a learning rate ``eta`` in (0, 1]; ``eta = 1`` is the classic EM
 step.  Because the weighted gradient satisfies ``sum_j theta_j *
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,39 +33,34 @@ def ele_distribution(counts: Mapping) -> dict:
 
     ``m`` is the number of outcomes, taken to be exactly the keys of
     ``counts``; callers wanting smoothing over a wider support must
-    pass explicit zero entries.  Values may be ints or Fractions.
-    Defined even when every count is zero (gives the uniform
-    distribution).
+    pass explicit zero entries.  Computed as ``(2f + 1) / (2F + m)`` on
+    the counts as given: integer counts give the correctly rounded
+    float of each exact ratio, ``Fraction`` counts give exact
+    ``Fraction``s.  Defined even when every count is zero (gives the
+    uniform distribution).
     """
     if not counts:
         raise ValueError("cannot smooth an empty count table")
-    m = len(counts)
-    total = Fraction(0)
-    for value in counts.values():
-        frac = Fraction(value)
-        if frac < 0:
-            raise ValueError("negative count in distribution estimate")
-        total += frac
-    denom = total + Fraction(m, 2)
-    return {key: float((Fraction(value) + Fraction(1, 2)) / denom)
-            for key, value in counts.items()}
+    if min(counts.values()) < 0:
+        raise ValueError("negative count in distribution estimate")
+    denom = 2 * sum(counts.values()) + len(counts)
+    return {key: (2 * value + 1) / denom for key, value in counts.items()}
 
 
 def mle_distribution(freqs: Mapping) -> dict:
-    """Exact relative-frequency distribution as Fractions.
+    """Relative-frequency distribution ``f / F``.
 
-    Raises if the total mass is zero: an empty cluster has no
-    conditional word distribution.
+    Integer frequencies give the correctly rounded float of each exact
+    ratio; ``Fraction`` frequencies give exact ``Fraction``s.  Raises
+    if the total mass is zero: an empty cluster has no conditional
+    word distribution.
     """
-    total = Fraction(0)
-    for value in freqs.values():
-        frac = Fraction(value)
-        if frac < 0:
-            raise ValueError("negative frequency in distribution estimate")
-        total += frac
+    if min(freqs.values(), default=0) < 0:
+        raise ValueError("negative frequency in distribution estimate")
+    total = sum(freqs.values())
     if total == 0:
         raise ValueError("cannot normalize a zero-mass frequency table")
-    return {key: Fraction(value) / total for key, value in freqs.items()}
+    return {key: value / total for key, value in freqs.items()}
 
 
 def mle_word_distribution(freqs: DistributedFrequencies, cluster: int) -> dict:
@@ -78,16 +76,20 @@ def pack_tokens(
 
     Aggregating by word type with multiplicity leaves every per-token
     sum unchanged while making the arithmetic order deterministic.
-    Token types keep first-appearance order.  Every type must have
-    positive probability under at least one component, otherwise no
-    weight assignment can explain it; such tokens are a caller error
-    (drop them upstream).
+    Token types keep first-appearance order.  ``tokens`` may also be a
+    ``{word: count}`` mapping, whose counts must be positive; its key
+    order is the type order.  Every type must have positive probability
+    under at least one component, otherwise no weight assignment can
+    explain it; such tokens are a caller error (drop them upstream).
     """
     if not dists:
         raise ValueError("need at least one mixture component")
     counter = Counter(tokens)
     if not counter:
         raise ValueError("no tokens to estimate from")
+    for word, count in counter.items():
+        if count <= 0:
+            raise ValueError(f"token {word!r} has non-positive count {count}")
     words = list(counter)
     counts = np.array([counter[w] for w in words], dtype=np.float64)
     probs = np.array(
@@ -205,8 +207,9 @@ def em_fit(
     """Fit mixture weights to a token sequence.
 
     ``dists`` are fixed per-cluster word distributions; only the
-    weights move.  Runs until the likelihood improvement drops below
-    the tolerance or the iteration cap is hit.  At ``eta = 1`` the
+    weights move.  ``tokens`` is a token sequence or a ``{word: count}``
+    mapping of positive counts; both give the same fit.  Runs until the
+    likelihood improvement drops below the tolerance or the iteration cap is hit.  At ``eta = 1`` the
     likelihood is checked to be non-decreasing.  When ``trace`` is a
     list, an ``(evaluation, log_likelihood)`` pair is appended for
     every likelihood evaluation, starting with the initial weights.

@@ -25,8 +25,10 @@ where well-formedness is enforced.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -204,8 +206,9 @@ def train_fmm(
 
     Words outside every cluster are dropped from the fitting pools; a
     side left with nothing raises a training error naming the side.
-    When ``trace`` is a dict, per-side fitting traces are stored under
-    "positive" and "negative".
+    The settings record each side's EM iteration count and convergence
+    as ``[positive, negative]`` lists.  When ``trace`` is a dict,
+    per-side fitting traces are stored under "positive" and "negative".
     """
     cfg = em_config or EmConfig()
     names, table = _pools(corpus, category, positive_only)
@@ -214,38 +217,36 @@ def train_fmm(
     cluster_words = []
     for j, related in enumerate(clustering.related_categories):
         try:
-            exact = mle_word_distribution(distributed, j)
+            cluster_words.append(mle_word_distribution(distributed, j))
         except ValueError as err:
             raise TrainingError(
                 f"cluster related to {related!r} is empty at gamma={gamma}"
             ) from err
-        cluster_words.append({w: float(p) for w, p in exact.items()})
-    thetas = []
+    results = []
     for side, name in zip(("positive", "negative"), names):
-        pool = [
-            w
-            for w in table.vocabulary
-            for _ in range(table.count(name, w))
-            if w in clustering.assignments
-        ]
-        if not pool:
+        counts = {
+            w: f for w in clustering.assignments if (f := table.count(name, w)) > 0
+        }
+        if not counts:
             raise TrainingError(
                 f"the {side} side ({name!r}) has no usable tokens "
                 "after dropping unclustered words"
             )
         side_trace = [] if trace is not None else None
-        result = em_fit(cluster_words, pool, cfg, trace=side_trace)
+        results.append(em_fit(cluster_words, counts, cfg, trace=side_trace))
         if trace is not None:
             trace[side] = side_trace
-        thetas.append(result.theta)
+    pos, neg = results
     settings = {
         "gamma": gamma,
         "eta": cfg.eta,
         "max_iterations": cfg.max_iterations,
         "tolerance": cfg.tolerance,
+        "em_iterations": [pos.iterations, neg.iterations],
+        "em_converged": [pos.converged, neg.converged],
     }
     return MixtureModel(
-        category, clustering, tuple(cluster_words), thetas[0], thetas[1], settings
+        category, clustering, tuple(cluster_words), pos.theta, neg.theta, settings
     )
 
 
@@ -522,7 +523,8 @@ def _check_simplex(values, name: str) -> None:
         raise ValueError(f"model field {name!r} does not sum to 1")
 
 
-def _clustering_from_payload(payload: dict) -> Clustering:
+def _clustering_from_payload(payload: dict) -> tuple[Clustering, list[set]]:
+    """The clustering, over interned words, and its member sets as read."""
     section = _field(payload, "clustering", dict)
     vocabulary = _field(section, "vocabulary", list, "clustering.vocabulary")
     known = _word_set(vocabulary, "clustering.vocabulary")
@@ -544,7 +546,8 @@ def _clustering_from_payload(payload: dict) -> Clustering:
                 "model field 'clustering.related_categories' needs one "
                 f"category per cluster: {len(related)} for {len(clusters)} clusters"
             )
-    return from_member_sets(members, tuple(vocabulary), related)
+    vocabulary = tuple(map(sys.intern, vocabulary))
+    return from_member_sets(members, vocabulary, related), members
 
 
 def load_model(path):
@@ -555,6 +558,9 @@ def load_model(path):
     fault: vectors must have one entry per word or cluster, word lists
     must be free of duplicates, cluster members must come from the
     vocabulary, and every distribution must sum to 1.
+
+    Words are interned, so the models loaded in one process share one
+    string per word, and each distinct float literal becomes one float.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
@@ -562,7 +568,8 @@ def load_model(path):
         text = "\n".join(
             line for line in text.split("\n") if not line.startswith("#")
         )
-    payload = json.loads(text)
+    # a cache per file: each distinct float literal is parsed once
+    payload = json.loads(text, parse_float=functools.cache(float))
     if not isinstance(payload, dict):
         raise ValueError("a model file must hold a JSON object")
     version = payload.get("schema_version")
@@ -576,6 +583,7 @@ def load_model(path):
     if method in ("wbm", "cos"):
         vocab = _field(payload, "vocabulary", list)
         _word_set(vocab, "vocabulary")
+        vocab = tuple(map(sys.intern, vocab))
         positive = _vector(payload, "positive", len(vocab), "vocabulary word")
         negative = _vector(payload, "negative", len(vocab), "vocabulary word")
     if method == "wbm":
@@ -585,10 +593,8 @@ def load_model(path):
             category, dict(zip(vocab, positive)), dict(zip(vocab, negative))
         )
     if method == "hcm":
-        clustering = _clustering_from_payload(payload)
-        clusters = clustering.clusters
-        # disjoint exactly when the cluster sizes add up to their union's
-        if sum(map(len, clusters)) != len(frozenset().union(*clusters)):
+        clustering, _ = _clustering_from_payload(payload)
+        if not clustering.is_hard():
             raise ValueError(
                 "model field 'clustering.clusters' overlaps; "
                 "a hard-cluster model needs disjoint clusters"
@@ -601,17 +607,18 @@ def load_model(path):
             category, clustering, tuple(positive), tuple(negative), settings
         )
     if method == "fmm":
-        clustering = _clustering_from_payload(payload)
+        clustering, members = _clustering_from_payload(payload)
         dists = _vector(payload, "cluster_words", clustering.m, "cluster")
-        for j, (dist, members) in enumerate(zip(dists, clustering.clusters)):
+        for j, dist in enumerate(dists):
             name = f"cluster_words[{j}]"
             if not isinstance(dist, dict):
                 raise ValueError(f"model field {name!r} must be an object")
-            if not dist.keys() <= members:
+            if not dist.keys() <= members[j]:
                 raise ValueError(
                     f"model field {name!r} has words outside cluster {j}"
                 )
             _check_simplex(dist.values(), name)
+            dists[j] = dict(zip(map(sys.intern, dist), dist.values()))
         positive_theta = _vector(payload, "positive_theta", clustering.m, "cluster")
         negative_theta = _vector(payload, "negative_theta", clustering.m, "cluster")
         _check_simplex(positive_theta, "positive_theta")
@@ -629,10 +636,6 @@ def load_model(path):
             _check_nonnegative(side, name)
             if not any(side):
                 raise ValueError(f"model field {name!r} is all zero")
-        return CosineModel(
-            category,
-            tuple(vocab),
-            tuple(float(v) for v in positive),
-            tuple(float(v) for v in negative),
-        )
+        positive, negative = tuple(map(float, positive)), tuple(map(float, negative))
+        return CosineModel(category, vocab, positive, negative)
     raise ValueError(f"unknown model method: {method!r}")

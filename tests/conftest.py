@@ -9,8 +9,14 @@ and the shared word "ball".
 import io
 
 import pytest
+from hypothesis import settings
 
 from mixcat import complement_corpus, count_pools, parse_corpus
+
+# property tests draw the same examples on every run and carry no time
+# limit, so a slow or shared machine cannot turn them flaky
+settings.register_profile("mixcat", derandomize=True, deadline=None, database=None)
+settings.load_profile("mixcat")
 
 SPORTS_TEXT = (
     "c1\tracket racket stroke shot ball\n"

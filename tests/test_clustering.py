@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixcat import (
     count_pools,
@@ -187,6 +189,18 @@ class TestDistributedFrequencies:
                 )
                 assert total == table.word_total(word)
 
+    @given(
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=30),
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=30),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_two_pool_tables_give_integer_counts(self, positive, negative, gamma):
+        table = count_pools([("c", positive), ("~c", negative)])
+        distributed = distribute_frequencies(table, soft_clusters(table, gamma))
+        for j, row in enumerate(distributed.cluster_words):
+            assert all(type(v) is int for v in row.values())
+            assert type(distributed.cluster_total(j)) is int
+
     def test_requires_related_categories(self, binary_table):
         clustering = rank_clusters(binary_table, 5, 5)
         with pytest.raises(ValueError, match="category-related"):
@@ -202,7 +216,32 @@ class TestFromMemberSets:
             original.related_categories,
         )
         assert rebuilt == original
+        assert list(rebuilt.assignments) == list(original.assignments)
+
+    def test_assignments_follow_vocabulary_order(self):
+        vocabulary = ("e", "d", "c", "b", "a")
+        clusters = [{"a", "c", "x"}, {"c", "d"}, {"a"}]
+        clustering = from_member_sets(clusters, vocabulary, None)
+        # reference: test every vocabulary word against every cluster
+        expected = {}
+        for word in vocabulary:
+            ids = tuple(j for j, members in enumerate(clusters) if word in members)
+            if ids:
+                expected[word] = ids
+        assert list(clustering.assignments.items()) == list(expected.items())
+        assert clustering.discarded == frozenset({"b", "e"})
 
     def test_uncovered_words_are_discarded(self):
         clustering = from_member_sets([{"a"}], ("a", "b"), ("c1",))
         assert clustering.discarded == frozenset({"b"})
+
+    def test_clusters_are_derived_from_assignments(self):
+        clusters = [{"a", "x"}, set(), {"a", "b"}]
+        clustering = from_member_sets(clusters, ("a", "b"), None)
+        assert clustering.m == 3
+        # the empty cluster is kept; "x" is outside the vocabulary
+        assert clustering.clusters == (
+            frozenset({"a"}),
+            frozenset(),
+            frozenset({"a", "b"}),
+        )

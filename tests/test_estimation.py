@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixcat import (
     EmConfig,
@@ -43,6 +45,13 @@ def _random_instance(rng, max_components=4, max_words=8):
     tokens = [w for w, c in zip(words, counts) for _ in range(int(c))]
     theta = rng.dirichlet(np.ones(m))
     return dists, tokens, theta
+
+
+# count tables with integer values well past 2**53, where a float sum
+# would already round
+COUNT_TABLES = st.dictionaries(
+    st.text(max_size=3), st.integers(0, 10**20), min_size=1, max_size=12
+)
 
 
 class TestEleDistribution:
@@ -83,12 +92,43 @@ class TestEleDistribution:
         with pytest.raises(ValueError, match="negative"):
             ele_distribution({"a": 1, "b": -1})
 
+    @given(COUNT_TABLES)
+    def test_integer_counts_round_once(self, counts):
+        total, m = sum(counts.values()), len(counts)
+        dist = ele_distribution(counts)
+        for key, value in counts.items():
+            assert type(dist[key]) is float
+            assert dist[key] == float(Fraction(2 * value + 1, 2 * total + m))
+
 
 class TestMleDistribution:
     def test_exact_fractions(self):
         dist = mle_distribution({"a": 2, "b": 3})
-        assert dist == {"a": Fraction(2, 5), "b": Fraction(3, 5)}
+        assert dist == {"a": 2 / 5, "b": 3 / 5}
+        assert all(type(v) is float for v in dist.values())
+        exact = mle_distribution({"a": Fraction(1, 3), "b": Fraction(2, 3)})
+        assert exact == {"a": Fraction(1, 3), "b": Fraction(2, 3)}
+        assert all(isinstance(v, Fraction) for v in exact.values())
+
+    @given(COUNT_TABLES.filter(lambda counts: any(counts.values())))
+    def test_integer_counts_round_once(self, counts):
+        total = sum(counts.values())
+        dist = mle_distribution(counts)
+        for key, value in counts.items():
+            assert type(dist[key]) is float
+            assert dist[key] == float(Fraction(value, total))
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_denominator=50), min_size=1, max_size=8
+        ).filter(any)
+    )
+    def test_fraction_counts_stay_exact(self, values):
+        dist = mle_distribution(dict(enumerate(values)))
+        total = sum(values)
         assert all(isinstance(v, Fraction) for v in dist.values())
+        assert sum(dist.values()) == 1
+        assert all(dist[i] * total == v for i, v in enumerate(values))
 
     def test_zero_mass(self):
         with pytest.raises(ValueError, match="zero-mass"):
@@ -102,15 +142,15 @@ class TestMleDistribution:
         clustering = soft_clusters(binary_table, 0.4)
         distributed = distribute_frequencies(binary_table, clustering)
         assert mle_word_distribution(distributed, 0) == {
-            "racket": Fraction(4, 9),
-            "stroke": Fraction(1, 9),
-            "shot": Fraction(2, 9),
-            "ball": Fraction(2, 9),
+            "racket": 4 / 9,
+            "stroke": 1 / 9,
+            "shot": 2 / 9,
+            "ball": 2 / 9,
         }
         assert mle_word_distribution(distributed, 1) == {
-            "goal": Fraction(1, 2),
-            "kick": Fraction(1, 4),
-            "ball": Fraction(1, 4),
+            "goal": 1 / 2,
+            "kick": 1 / 4,
+            "ball": 1 / 4,
         }
 
 
@@ -302,6 +342,25 @@ class TestEmFit:
     def test_uncovered_tokens_rejected(self):
         with pytest.raises(ValueError, match="zero probability"):
             em_fit([K1, K2], ["racket", "outlier"])
+
+    def test_zero_count_rejected(self):
+        with pytest.raises(ValueError, match="'a' has non-positive count 0"):
+            em_fit([{"a": 1.0}], {"a": 0})
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="'a' has non-positive count -1"):
+            em_fit([{"a": 0.5, "b": 0.5}], {"a": -1, "b": 3})
+
+    @given(st.data())
+    def test_count_mapping_fits_like_its_tokens(self, data):
+        words = sorted(set(K1) | set(K2))
+        tokens = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=40))
+        eta = data.draw(st.sampled_from([1.0, 0.5]))
+        cfg = EmConfig(eta=eta, max_iterations=20)
+        from_tokens, from_counts = [], []
+        expected = em_fit([K1, K2], tokens, cfg, trace=from_tokens)
+        assert em_fit([K1, K2], Counter(tokens), cfg, trace=from_counts) == expected
+        assert from_counts == from_tokens
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,27 @@ class TestMixtureModel:
             (0.8548387096774194, 0.14516129032258066), rel=1e-12
         )
         assert model.settings["max_iterations"] == 2
+
+    def test_em_outcome_recorded_per_side(self, sports_corpus, tmp_path):
+        # the positive side converges after 7 updates, the negative needs 14
+        cfg = EmConfig(max_iterations=10)
+        model = train_fmm(sports_corpus, "c1", 0.4, em_config=cfg)
+        assert model.settings["em_iterations"] == [7, 10]
+        assert model.settings["em_converged"] == [True, False]
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert load_model(path).settings == model.settings
+
+    def test_training_builds_no_fraction(self, sports_corpus, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError(f"Fraction built from {args}")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        train_wbm(sports_corpus, "c1")
+        train_hcm(sports_corpus, "c1", gamma=0.5)
+        train_hcm(sports_corpus, "c1", top_l=5, top_m=5)
+        train_fmm(sports_corpus, "c1", 0.2)
+        train_cos(sports_corpus, "c1")
 
 
 class TestDecide:
@@ -429,6 +451,32 @@ class TestPersistence:
         path = tmp_path / "m.json"
         save_model(model, path)
         assert load_model(path).clustering == model.clustering
+
+    def test_loaded_model_holds_one_copy_of_each_word(self, sports_corpus, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train_fmm(sports_corpus, "c1", 0.4), path)
+        model = load_model(path)
+        words = {w: w for w in model.clustering.vocabulary}
+        for dist in model.cluster_words:
+            assert all(words[w] is w for w in dist)
+        for members in model.clustering.clusters:
+            assert all(words[w] is w for w in members)
+        # words in one cluster alone share that cluster's index tuple
+        assignments = model.clustering.assignments
+        assert assignments["racket"] is assignments["stroke"]
+
+    def test_loaded_models_share_words_and_values(self, sports_corpus, tmp_path):
+        first, second = tmp_path / "c1.json", tmp_path / "c2.json"
+        save_model(train_wbm(sports_corpus, "c1"), first)
+        save_model(train_wbm(sports_corpus, "c2"), second)
+        a, b = load_model(first), load_model(second)
+        # words are interned: one string per word across models
+        assert set(a.positive) == set(b.positive)
+        words = {w: w for w in a.positive}
+        assert all(words[w] is w for w in b.positive)
+        # an equal float literal is parsed into one object per model
+        values = list(a.positive.values()) + list(a.negative.values())
+        assert len(set(map(id, values))) == len(set(values))
 
     def test_settings_survive(self, sports_corpus, tmp_path):
         model = train_hcm(sports_corpus, "c1", top_l=5, top_m=5)
