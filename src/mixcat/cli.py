@@ -296,9 +296,17 @@ def cmd_eval(cfg: dict) -> int:
     with _stage("evaluating"):
         curve = sweep(models, test_corpus, grid)
         point = break_even(curve)
+    # recall leaves out (document, label) pairs whose label has no model
+    trained = set(train_corpus.categories)
+    unmodeled = sum(
+        label not in trained
+        for document in test_corpus.documents
+        for label in document.labels
+    )
     buffer = io.StringIO()
     buffer.write(_header("eval", cfg))
     buffer.write(f"# break_even_kind {point.kind}\n")
+    buffer.write(f"# labels_without_model {unmodeled}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["epsilon", "precision", "recall"])
     for row in curve.points:

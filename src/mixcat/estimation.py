@@ -44,7 +44,9 @@ def ele_distribution(counts: Mapping) -> dict:
     if min(counts.values()) < 0:
         raise ValueError("negative count in distribution estimate")
     denom = 2 * sum(counts.values()) + len(counts)
-    return {key: (2 * value + 1) / denom for key, value in counts.items()}
+    # keys with equal counts share one value object: trained models stay small
+    values = {f: (2 * f + 1) / denom for f in set(counts.values())}
+    return {key: values[f] for key, f in counts.items()}
 
 
 def mle_distribution(freqs: Mapping) -> dict:
@@ -60,7 +62,9 @@ def mle_distribution(freqs: Mapping) -> dict:
     total = sum(freqs.values())
     if total == 0:
         raise ValueError("cannot normalize a zero-mass frequency table")
-    return {key: value / total for key, value in freqs.items()}
+    # keys with equal frequencies share one value object: models stay small
+    values = {f: f / total for f in set(freqs.values())}
+    return {key: values[f] for key, f in freqs.items()}
 
 
 def mle_word_distribution(freqs: DistributedFrequencies, cluster: int) -> dict:

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from mixcat.corpus import LabeledCorpus
-from mixcat.models import Decision, classify_document, threshold_outcome
+from mixcat.models import Decision, doc_term_table, table_scores
 
 OUTCOMES = ("positive", "negative", "unclassified")
 
@@ -162,8 +164,9 @@ def score_documents(models: Sequence, corpus: LabeledCorpus) -> dict:
 
     Returns a map from (document index, category) to the normalized
     score (None when the document gave no evidence for that model).
-    Thresholding afterwards is cheap, which is what makes wide sweeps
-    practical.
+    The test documents are counted once into a doc-term table; each
+    model then scores all of them from its terms for the table's
+    distinct words.  The scores equal ``classify_document``'s.
     """
     if not models:
         raise ValueError("no models to evaluate")
@@ -172,13 +175,53 @@ def score_documents(models: Sequence, corpus: LabeledCorpus) -> dict:
         if model.category in seen:
             raise ValueError(f"two models for category {model.category!r}")
         seen.add(model.category)
-    scores = {}
-    for index, document in enumerate(corpus.documents):
-        for model in models:
-            # epsilon 0 never yields unclassified except for no-evidence
-            decision = classify_document(model, document.tokens, 0.0)
-            scores[index, model.category] = decision.score
-    return scores
+    table = doc_term_table(document.tokens for document in corpus.documents)
+    per_model = [table_scores(model, table) for model in models]
+    return {
+        (index, model.category): scores[index]
+        for index in range(len(corpus.documents))
+        for model, scores in zip(models, per_model)
+    }
+
+
+def curve_from_scores(
+    scores: Mapping, gold: Mapping, epsilon_grid: Sequence[float]
+) -> PRCurve:
+    """Micro-averaged precision and recall at every threshold of a grid.
+
+    ``scores`` maps every (document, category) pair to its score (None
+    for no evidence) and ``gold`` maps documents to their label sets.
+    At threshold epsilon a pair is claimed when its score exceeds
+    epsilon (``threshold_outcome``), so the claimed pairs are a suffix
+    of the sorted scores: one sort gives every point, with the same
+    ratios as ``micro_pr`` of the thresholded decisions.
+    """
+    grid = tuple(epsilon_grid)
+    _validate_grid(grid)
+    values, hits = [], []
+    relevant = 0
+    for (doc_id, category), score in scores.items():
+        hit = category in gold[doc_id]
+        relevant += hit
+        if score is not None:
+            values.append(score)
+            hits.append(hit)
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values)
+    # true positives among the sorted pairs from each position on
+    tail_hits = np.cumsum(np.asarray(hits, dtype=np.int64)[order][::-1])[::-1]
+    tail_hits = np.append(tail_hits, 0).tolist()
+    firsts = np.searchsorted(values[order], grid, side="right").tolist()
+    points = []
+    for epsilon, first in zip(grid, firsts):
+        tp = tail_hits[first]
+        claimed = len(values) - first
+        counts = ContingencyCounts(
+            tp, claimed - tp, relevant - tp, len(scores) - claimed - relevant + tp
+        )
+        pr = pr_from_counts(counts)
+        points.append(CurvePoint(epsilon, pr.precision, pr.recall))
+    return PRCurve(tuple(points))
 
 
 def sweep(
@@ -187,21 +230,11 @@ def sweep(
     epsilon_grid: Sequence[float] | None = None,
 ) -> PRCurve:
     """Precision-recall curve over a grid of rejection thresholds."""
-    grid = tuple(epsilon_grid) if epsilon_grid is not None else default_epsilon_grid()
-    _validate_grid(grid)
-    scores = score_documents(models, corpus)
+    grid = epsilon_grid if epsilon_grid is not None else default_epsilon_grid()
     gold = {
         index: document.labels for index, document in enumerate(corpus.documents)
     }
-    categories = [model.category for model in models]
-    points = []
-    for epsilon in grid:
-        decisions = {
-            pair: threshold_outcome(score, epsilon) for pair, score in scores.items()
-        }
-        pr = micro_pr(decisions, gold, categories)
-        points.append(CurvePoint(epsilon, pr.precision, pr.recall))
-    return PRCurve(tuple(points))
+    return curve_from_scores(score_documents(models, corpus), gold, grid)
 
 
 def break_even(curve: PRCurve) -> BreakEven:

@@ -28,10 +28,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,26 +257,180 @@ def train_fmm(
 def train_cos(
     corpus: LabeledCorpus, category: str, positive_only: bool = True
 ) -> CosineModel:
-    """Raw frequency vectors for the category and its complement."""
+    """Raw frequency vectors for the category and its complement.
+
+    Equal counts share one float, so a model holds one per distinct count.
+    """
     (pos_name, neg_name), table = _pools(corpus, category, positive_only)
     vocab = table.vocabulary
-    positive = tuple(float(table.count(pos_name, w)) for w in vocab)
-    negative = tuple(float(table.count(neg_name, w)) for w in vocab)
+    sides = [[table.count(name, w) for w in vocab] for name in (pos_name, neg_name)]
+    floats = {count: float(count) for count in set().union(*sides)}
+    positive, negative = (tuple(map(floats.__getitem__, side)) for side in sides)
     return CosineModel(category, vocab, positive, negative)
 
 
-def weighted_log_mixture(counts, probs, theta, floor) -> float:
-    """Sum of count-weighted log mixture probabilities.
+class DocTermTable(NamedTuple):
+    """Documents counted once, as a sparse row-compressed table.
 
-    ``counts`` has one entry per token type, ``probs`` one row per
-    mixture component, ``theta`` the component weights.  Mixture values
-    below ``floor`` are clamped before the log so out-of-model tokens
-    produce a large finite penalty instead of -inf.
+    ``words`` holds the distinct words in order of first use.  Each
+    entry is one distinct word of one document: ``columns`` gives its
+    index into ``words`` and ``counts`` its count.  A document's entries
+    are contiguous and in order of first use within it.  ``filled``
+    marks the documents that have entries, and ``starts`` holds the
+    index of each such document's first entry.
     """
-    mix = np.asarray(theta, dtype=np.float64) @ np.asarray(probs, dtype=np.float64)
-    return float(
-        np.asarray(counts, dtype=np.float64) @ np.log(np.maximum(mix, floor))
+
+    words: list[str]
+    columns: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    filled: np.ndarray
+
+
+def doc_term_table(documents: Iterable[Iterable[str]]) -> DocTermTable:
+    """Count each document's tokens once into one doc-term table."""
+    index: dict[str, int] = {}
+    # typed arrays hold the entries without an object per number
+    columns, counts, starts = array("q"), array("d"), array("q")
+    filled: list[bool] = []
+    for tokens in documents:
+        counter = Counter(tokens)
+        filled.append(bool(counter))
+        if counter:
+            starts.append(len(columns))
+            columns.extend(index.setdefault(w, len(index)) for w in counter)
+            counts.extend(counter.values())
+    return DocTermTable(
+        list(index),
+        np.frombuffer(columns, dtype=np.int64),
+        np.frombuffer(counts, dtype=np.float64),
+        np.frombuffer(starts, dtype=np.int64),
+        np.array(filled, dtype=bool),
     )
+
+
+def _floored_log(probabilities) -> np.ndarray:
+    return np.log(np.maximum(probabilities, PROB_FLOOR))
+
+
+def _word_terms(model, words: Collection[str]):
+    """Per-word terms of a model over distinct words.
+
+    Returns ``(terms, in_model)``: ``terms`` has two rows, the positive
+    and the negative side, with one column per word; ``in_model`` marks
+    the words the model knows (not unknown, not discarded by
+    clustering).  For the likelihood models a term is the word's log
+    probability on that side, floored at PROB_FLOOR, so a side's
+    document log likelihood is the count-weighted sum of its terms: the
+    word probability (``wbm``), the probability of the word's cluster
+    (``hcm``), or the fixed mixture ``sum_j theta_j P(w|k_j)`` (``fmm``).
+    For ``cos`` the terms are the side's raw frequencies.  Terms of
+    words outside the model are finite and carry no weight.
+    """
+    n = len(words)
+    if isinstance(model, WordModel):
+        terms = np.empty((2, n))
+        for row, side in zip(terms, (model.positive, model.negative)):
+            row[:] = np.fromiter(map(side.get, words, repeat(1.0)), np.float64, n)
+        known = np.fromiter(map(model.positive.__contains__, words), bool, n)
+        return _floored_log(terms), known
+    if isinstance(model, HardClusterModel):
+        m = len(model.positive)
+        found = map(model.clustering.assignments.get, words, repeat((m,)))
+        ids = np.fromiter(map(itemgetter(0), found), np.intp, n)
+        # id m picks the term log 1 = 0 for words outside every cluster
+        sides = ((*model.positive, 1.0), (*model.negative, 1.0))
+        return _floored_log(sides).take(ids, axis=1), ids < m
+    if isinstance(model, MixtureModel):
+        theta = np.array((model.positive_theta, model.negative_theta))
+        mixture = np.zeros((2, n))
+        for j, dist in enumerate(model.cluster_words):
+            # elementwise, so a word's mixture does not depend on which
+            # other words are scored with it
+            mixture += theta[:, j, None] * np.fromiter(
+                map(dist.get, words, repeat(0.0)), np.float64, n
+            )
+        known = map(model.clustering.assignments.__contains__, words)
+        return _floored_log(mixture), np.fromiter(known, bool, n)
+    if isinstance(model, CosineModel):
+        index = dict(zip(model.vocabulary, range(len(model.vocabulary))))
+        ids = np.fromiter(map(index.get, words, repeat(-1)), np.intp, n)
+        terms = np.empty((2, n))
+        for row, side in zip(terms, (model.positive, model.negative)):
+            row[:] = np.fromiter(map(side.__getitem__, ids.tolist()), np.float64, n)
+        return terms, ids >= 0
+    raise TypeError(f"unknown model type: {type(model).__name__}")
+
+
+def _side_sums(counts: np.ndarray, terms: np.ndarray, starts) -> np.ndarray:
+    """Per document, ``sum c*a`` and ``sum c*b`` as two rows.
+
+    ``counts`` and the two rows of ``terms`` hold one entry per distinct
+    word of each document; a document's entries run from its start to
+    the next one.  ``terms`` is overwritten with the products.  Each
+    document is summed in the same order whatever other documents are
+    summed with it, so a document scored alone gives bit for bit what
+    it gives within a test set.
+    """
+    terms *= counts
+    return np.add.reduceat(terms, starts, axis=1)
+
+
+def _evidence(model, counts: np.ndarray) -> np.ndarray:
+    """Per entry, its share of a document's evidence (see ``_score``)."""
+    return counts * counts if isinstance(model, CosineModel) else counts
+
+
+def _score(model, pos, neg, evidence):
+    """The normalized score from a document's sums (floats or arrays).
+
+    ``pos`` and ``neg`` are ``sum c*a`` and ``sum c*b`` over the
+    document's in-model counts ``c``.  Likelihood models: ``(pos - neg)
+    / sum c``, the per-token log-likelihood ratio.  ``cos``: ``pos / (|c|
+    |p|) - neg / (|c| |n|)`` with ``p`` and ``n`` the full side vectors;
+    the evidence is then ``sum c*c``.  Evidence 0 means that no token of
+    the document is in the model.
+    """
+    if isinstance(model, CosineModel):
+        norm = np.sqrt(evidence)
+        # sides hold whole counts once trained, and a sum of squared whole
+        # counts is exact, so hypot gives what sqrt(p @ p) gives
+        return pos / (norm * math.hypot(*model.positive)) - neg / (
+            norm * math.hypot(*model.negative)
+        )
+    return (pos - neg) / evidence
+
+
+def _document_sums(model, tokens: Iterable[str]) -> tuple[float, float, float]:
+    """``sum c*a``, ``sum c*b`` and the evidence of one document."""
+    counter = Counter(tokens)
+    if not counter:
+        return 0.0, 0.0, 0.0
+    terms, known = _word_terms(model, counter)
+    counts = np.fromiter(counter.values(), np.float64, len(counter)) * known
+    pos, neg = _side_sums(counts, terms, [0]).ravel().tolist()
+    # counts are whole numbers, so their sum is exact in any order
+    return pos, neg, float(_evidence(model, counts).sum())
+
+
+def table_scores(model, table: DocTermTable) -> list[float | None]:
+    """The normalized score of every document in ``table``.
+
+    None marks a document that gave no evidence.  Each score equals the
+    one ``classify_document`` gives the document alone.
+    """
+    terms, known = _word_terms(model, table.words)
+    columns = table.columns
+    counts = table.counts * known[columns]
+    sums = np.zeros((3, len(table.filled)))
+    sums[:2, table.filled] = _side_sums(counts, terms[:, columns], table.starts)
+    sums[2, table.filled] = np.add.reduceat(_evidence(model, counts), table.starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = _score(model, *sums)
+    return [
+        score if weight else None
+        for score, weight in zip(scores.tolist(), sums[2].tolist())
+    ]
 
 
 def doc_log_likelihood(model, tokens: Iterable[str]) -> tuple[float, float, int]:
@@ -286,49 +444,12 @@ def doc_log_likelihood(model, tokens: Iterable[str]) -> tuple[float, float, int]
     0.0 and the caller must treat the document as unclassifiable).
     Per-token probabilities are floored at PROB_FLOOR before the log.
     """
-    if isinstance(model, WordModel):
-        counter = Counter(t for t in tokens if t in model.positive)
-        if not counter:
-            return 0.0, 0.0, 0
-        words = list(counter)
-        counts = [counter[w] for w in words]
-        one = (1.0,)
-        pos = weighted_log_mixture(
-            counts, [[model.positive[w] for w in words]], one, PROB_FLOOR
-        )
-        neg = weighted_log_mixture(
-            counts, [[model.negative[w] for w in words]], one, PROB_FLOOR
-        )
-        return pos, neg, sum(counts)
-    if isinstance(model, HardClusterModel):
-        assignments = model.clustering.assignments
-        counter = Counter(
-            assignments[t][0] for t in tokens if t in assignments
-        )
-        if not counter:
-            return 0.0, 0.0, 0
-        ids = list(counter)
-        counts = [counter[j] for j in ids]
-        one = (1.0,)
-        pos = weighted_log_mixture(
-            counts, [[model.positive[j] for j in ids]], one, PROB_FLOOR
-        )
-        neg = weighted_log_mixture(
-            counts, [[model.negative[j] for j in ids]], one, PROB_FLOOR
-        )
-        return pos, neg, sum(counts)
-    if isinstance(model, MixtureModel):
-        assignments = model.clustering.assignments
-        counter = Counter(t for t in tokens if t in assignments)
-        if not counter:
-            return 0.0, 0.0, 0
-        words = list(counter)
-        counts = [counter[w] for w in words]
-        rows = [[dist.get(w, 0.0) for w in words] for dist in model.cluster_words]
-        pos = weighted_log_mixture(counts, rows, model.positive_theta, PROB_FLOOR)
-        neg = weighted_log_mixture(counts, rows, model.negative_theta, PROB_FLOOR)
-        return pos, neg, sum(counts)
-    raise TypeError(f"not a likelihood model: {type(model).__name__}")
+    if not isinstance(model, (WordModel, HardClusterModel, MixtureModel)):
+        raise TypeError(f"not a likelihood model: {type(model).__name__}")
+    pos, neg, n_eff = _document_sums(model, tokens)
+    if n_eff == 0:
+        return 0.0, 0.0, 0
+    return pos, neg, int(n_eff)
 
 
 def threshold_outcome(score: float | None, epsilon: float) -> str:
@@ -373,15 +494,8 @@ def cosine_decide(model: CosineModel, tokens: Iterable[str], epsilon: float) -> 
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    counter = Counter(tokens)
-    doc = np.array([counter.get(w, 0) for w in model.vocabulary], dtype=np.float64)
-    norm = float(np.linalg.norm(doc))
-    if norm == 0.0:
-        return Decision("unclassified", None)
-    score = 0.0
-    for sign, side in ((1.0, model.positive), (-1.0, model.negative)):
-        vec = np.asarray(side, dtype=np.float64)
-        score += sign * float(doc @ vec) / (norm * float(np.linalg.norm(vec)))
+    pos, neg, evidence = _document_sums(model, tokens)
+    score = float(_score(model, pos, neg, evidence)) if evidence else None
     return Decision(threshold_outcome(score, epsilon), score)
 
 
@@ -410,6 +524,9 @@ def method_of(model) -> str:
 
 
 _SCHEMA_VERSION = 1
+
+# the CLI's header: ``#`` lines at the top of a model file
+_HEADER = re.compile(r"(?:#.*\n)*")
 
 
 def _clustering_payload(clustering: Clustering) -> dict:
@@ -553,8 +670,9 @@ def _clustering_from_payload(payload: dict) -> tuple[Clustering, list[set]]:
 def load_model(path):
     """Read a model written by ``save_model``, validating its shape.
 
-    Lines starting with ``#`` (the CLI's configuration header) are
-    ignored.  A malformed file raises ValueError naming the field at
+    A block of lines starting with ``#`` at the top of the file (the
+    CLI's configuration header) is skipped; ``#`` lines anywhere else
+    are a JSON error.  A malformed file raises ValueError naming the field at
     fault: vectors must have one entry per word or cluster, word lists
     must be free of duplicates, cluster members must come from the
     vocabulary, and every distribution must sum to 1.
@@ -564,10 +682,7 @@ def load_model(path):
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    if text.startswith("#") or "\n#" in text:
-        text = "\n".join(
-            line for line in text.split("\n") if not line.startswith("#")
-        )
+    text = text[_HEADER.match(text).end() :]
     # a cache per file: each distinct float literal is parsed once
     payload = json.loads(text, parse_float=functools.cache(float))
     if not isinstance(payload, dict):

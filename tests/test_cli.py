@@ -223,10 +223,30 @@ class TestEval:
         assert capsys.readouterr().out.strip() == "break_even=1.0"
         lines = out_path.read_text(encoding="utf-8").splitlines()
         assert "# break_even_kind exact" in lines
+        assert "# labels_without_model 0" in lines
         body = [line for line in lines if not line.startswith("#")]
         assert body[0] == "epsilon,precision,recall"
         assert len(body) == 1 + 101
         assert body[1] == "0.0,1.0,1.0"
+
+    def test_labels_without_a_model_are_counted(self, tmp_path, sports_file, capsys):
+        test_path = tmp_path / "test.txt"
+        # c3 and c4 never occur in training, so no model covers them
+        test_path.write_text(
+            "c1,c3\tracket shot\nc4\tgoal kick\nc2\tgoal\n", encoding="utf-8"
+        )
+        out_path = tmp_path / "curve.csv"
+        code = main([
+            "eval", "--train", str(sports_file), "--test", str(test_path),
+            "--method", "wbm", "--output", str(out_path),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert "# labels_without_model 2" in lines
+        # recall still counts only the pairs that have a model
+        first = lines[lines.index("epsilon,precision,recall") + 1]
+        assert first.split(",")[2] == "1.0"
 
     def test_reruns_are_byte_identical(self, tmp_path, sports_file, capsys):
         path = tmp_path / "curve.csv"

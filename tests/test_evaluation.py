@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixcat import (
     BreakEven,
@@ -12,6 +14,7 @@ from mixcat import (
     break_even,
     classify_document,
     contingency,
+    curve_from_scores,
     default_epsilon_grid,
     micro_pr,
     parse_corpus,
@@ -20,6 +23,7 @@ from mixcat import (
     sweep,
     train_wbm,
 )
+from mixcat.models import threshold_outcome
 
 GOLD = {"d1": {"a", "b"}, "d2": {"a", "c"}}
 DECISIONS = {
@@ -205,6 +209,60 @@ class TestSweep:
         corpus, _ = separable
         with pytest.raises(ValueError, match="no models"):
             sweep([], corpus)
+
+
+GRID = default_epsilon_grid()
+# ties, exact grid points of either sign, and no-evidence pairs
+SCORES = st.one_of(
+    st.none(),
+    st.sampled_from([sign * GRID[k] for k in (0, 1, 10, 60, 100) for sign in (1, -1)]),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _assert_curve_matches_decisions(scores, gold, categories):
+    curve = curve_from_scores(scores, gold, GRID)
+    assert [p.epsilon for p in curve.points] == list(GRID)
+    for point in curve.points:
+        decisions = {
+            pair: threshold_outcome(score, point.epsilon)
+            for pair, score in scores.items()
+        }
+        pr = micro_pr(decisions, gold, categories)
+        assert (point.precision, point.recall) == (pr.precision, pr.recall)
+
+
+class TestCurveFromScores:
+    GOLD = {0: frozenset({"a"}), 1: frozenset({"b"}), 2: frozenset()}
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (None,) * 6,  # no evidence anywhere: nothing is ever claimed
+            (0.05, 0.05, -0.05, 0.05, None, -0.05),  # ties on a grid point
+            (GRID[10], -GRID[10], GRID[60], GRID[100], 0.0, -0.0),  # on grid points
+            (0.7, 0.7, 0.2, None, 0.2, 0.7),  # 0.7 is claimed at every point
+            (-0.3, -0.1, -0.2, -0.4, -0.5, -0.6),  # nothing claimed at any point
+        ],
+    )
+    def test_hand_maps(self, values):
+        pairs = [(d, c) for d in self.GOLD for c in ("a", "b")]
+        _assert_curve_matches_decisions(dict(zip(pairs, values)), self.GOLD, ("a", "b"))
+
+    @given(st.data())
+    def test_random_maps(self, data):
+        categories = ("a", "b", "c")[: data.draw(st.integers(1, 3))]
+        documents = data.draw(st.integers(1, 6))
+        gold = {
+            d: frozenset(data.draw(st.sets(st.sampled_from(categories))))
+            for d in range(documents)
+        }
+        scores = {(d, c): data.draw(SCORES) for d in gold for c in categories}
+        _assert_curve_matches_decisions(scores, gold, categories)
+
+    def test_grid_is_validated(self):
+        with pytest.raises(ValueError, match="start at 0"):
+            curve_from_scores({(0, "a"): 0.1}, {0: frozenset({"a"})}, (0.1,))
 
 
 class TestBreakEven:

@@ -5,19 +5,20 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mixcat import (
     CosineModel,
     Decision,
     EmConfig,
+    MixtureModel,
     TrainingError,
     WordModel,
     classify_document,
     cosine_decide,
     decide,
     doc_log_likelihood,
+    from_member_sets,
     load_model,
     method_of,
     parse_corpus,
@@ -27,7 +28,6 @@ from mixcat import (
     train_hcm,
     train_wbm,
 )
-from mixcat.models import weighted_log_mixture
 
 
 class TestWordModel:
@@ -478,6 +478,22 @@ class TestPersistence:
         values = list(a.positive.values()) + list(a.negative.values())
         assert len(set(map(id, values))) == len(set(values))
 
+    def test_trained_models_share_equal_values(self, sports_corpus):
+        # an equal count gives one value object per side, as after loading
+        word = train_wbm(sports_corpus, "c1")
+        cosine = train_cos(sports_corpus, "c1")
+        mixture = train_fmm(sports_corpus, "c1", 0.4)
+        sides = [
+            list(word.positive.values()),
+            list(word.negative.values()),
+            list(cosine.positive),
+            list(cosine.negative),
+            *(list(dist.values()) for dist in mixture.cluster_words),
+        ]
+        assert all(len(values) > len(set(values)) for values in sides[:4])
+        for values in sides:
+            assert len(set(map(id, values))) == len(set(values))
+
     def test_settings_survive(self, sports_corpus, tmp_path):
         model = train_hcm(sports_corpus, "c1", top_l=5, top_m=5)
         path = tmp_path / "m.json"
@@ -564,18 +580,30 @@ class TestPersistence:
         path.write_text("# a header line\n# another\n" + path.read_text())
         assert load_model(path).positive == model.positive
 
+    def test_only_the_leading_comment_block_is_skipped(self, sports_corpus, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train_wbm(sports_corpus, "c1"), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("# header\n" + lines[0] + "# not a header\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError):
+            load_model(path)
 
-def test_weighted_log_mixture_hand_values():
-    counts = np.array([2.0, 1.0])
-    probs = np.array([[0.5, 0.25]])
-    theta = np.array([1.0])
-    value = weighted_log_mixture(counts, probs, theta, 0.0)
-    assert value == pytest.approx(math.log(0.0625), rel=1e-15)
+
+def test_log_likelihood_hand_values():
+    model = WordModel("a", {"x": 0.5, "y": 0.25}, {"x": 0.25, "y": 0.5})
+    lp, ln, n = doc_log_likelihood(model, ("x", "y", "x"))
+    assert n == 3
+    assert lp == pytest.approx(math.log(0.0625), rel=1e-15)
+    assert ln == pytest.approx(math.log(0.03125), rel=1e-15)
 
 
 def test_floor_clamps_vanishing_probabilities():
-    counts = np.array([3.0])
-    probs = np.array([[0.0]])
-    theta = np.array([1.0])
-    value = weighted_log_mixture(counts, probs, theta, 1e-12)
-    assert value == pytest.approx(3 * math.log(1e-12), rel=1e-15)
+    # theta puts no weight on the cluster holding "y", so its mixture is 0
+    clustering = from_member_sets([{"x"}, {"y"}], ("x", "y"), None)
+    model = MixtureModel(
+        "a", clustering, ({"x": 1.0}, {"y": 1.0}), (1.0, 0.0), (0.5, 0.5)
+    )
+    lp, ln, n = doc_log_likelihood(model, ("y", "y", "y"))
+    assert n == 3
+    assert lp == pytest.approx(3 * math.log(1e-12), rel=1e-15)
+    assert ln == pytest.approx(3 * math.log(0.5), rel=1e-15)
