@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -25,9 +26,11 @@ from mixcat.counts import count_frequencies, count_pools
 from mixcat.estimation import EmConfig
 from mixcat.evaluation import break_even, default_epsilon_grid, sweep
 from mixcat.models import (
-    classify_document,
+    doc_term_table,
     load_model,
     save_model,
+    table_scores,
+    threshold_outcome,
     train_cos,
     train_fmm,
     train_hcm,
@@ -59,60 +62,56 @@ def _invalid(message: str) -> CliError:
     return CliError("validating the configuration", message)
 
 
-# per-command configuration schema: key -> (coerce, default).  argparse
-# leaves every flag at None so that the precedence merge can tell "not
-# given" from any real value.
-_COMMON_TRAIN_KEYS = {
-    "method": (str, None),
-    "category": (str, None),
-    "gamma": (float, None),
-    "top_l": (int, None),
-    "top_m": (int, None),
-    "eta": (float, 1.0),
-    "iters": (int, 100),
-    "tol": (float, 1e-8),
-    "multilabel": (str, "positive"),
-}
+def _typed(kind: type, value):
+    """``value`` as an option of type ``kind`` (int, float or str).
 
-SCHEMAS = {
-    "train": {
-        "train": (str, None),
-        "model": (str, None),
-        "trace": (str, None),
-        **_COMMON_TRAIN_KEYS,
-    },
-    "classify": {
-        "model": (str, None),
-        "input": (str, None),
-        "output": (str, None),
-        "epsilon": (float, 0.0),
-    },
-    "eval": {
-        "train": (str, None),
-        "test": (str, None),
-        "output": (str, None),
-        "eps_max": (float, 0.5),
-        "eps_step": (float, 0.005),
-        **_COMMON_TRAIN_KEYS,
-    },
-    "clusters": {
-        "train": (str, None),
-        "output": (str, None),
-        "category": (str, None),
-        "gamma": (float, None),
-        "top_l": (int, None),
-        "top_m": (int, None),
-        "multilabel": (str, "positive"),
-    },
-    "counts": {
-        "train": (str, None),
-        "output": (str, None),
-    },
+    The value must have the matching JSON type: an integer, any number,
+    or a string.  Types are compared exactly, so JSON true is no
+    integer, and a float must be finite.  Anything else is a ValueError.
+    """
+    if type(value) is kind or (kind is float and type(value) is int):
+        try:
+            converted = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            converted = math.inf
+        if kind is not float or math.isfinite(converted):
+            return converted
+    raise ValueError(f"invalid {kind.__name__} value: {json.dumps(value)}")
+
+
+def _flag_type(kind: type):
+    """argparse's ``type`` for ``kind``: the same check on a flag's text."""
+
+    def convert(text: str):
+        return _typed(kind, kind(text))
+
+    convert.__name__ = kind.__name__  # argparse names it in its error
+    return convert
+
+
+# Each command's options: key -> (type, default, help), for the flag
+# --key-with-dashes and the config key alike.  argparse leaves every flag
+# at None so that the precedence merge can tell "not given" from any real
+# value; the default applies after the merge.
+TRAINING_OPTIONS = {
+    "method": (str, None, "wbm | hcm | fmm | cos"),
+    "gamma": (float, None, "share threshold for clustering"),
+    "top_l": (int, None, "rank cutoff, own side"),
+    "top_m": (int, None, "rank cutoff, other side"),
+    "eta": (float, 1.0, "weight-fitting step size in (0, 1]"),
+    "iters": (int, 100, "weight-fitting iteration cap"),
+    "tol": (float, 1e-8, "weight-fitting stop tolerance"),
+    "multilabel": (
+        str,
+        "positive",
+        "where multi-label documents go: their category's pool only "
+        "(positive) or the complement pool too (both)",
+    ),
 }
 
 
-def _effective_config(args: argparse.Namespace, command: str) -> dict:
-    schema = SCHEMAS[command]
+def _effective_config(args: argparse.Namespace) -> dict:
+    options = args.options
     config_path = args.config or os.environ.get("MIXCAT_CONFIG")
     file_values = {}
     if config_path:
@@ -121,21 +120,24 @@ def _effective_config(args: argparse.Namespace, command: str) -> dict:
                 file_values = json.load(handle)
             if not isinstance(file_values, dict):
                 raise ValueError("config file must hold a JSON object")
-            unknown = sorted(set(file_values) - set(schema))
+            unknown = sorted(set(file_values) - set(options))
             if unknown:
                 raise ValueError(
-                    f"unknown config keys for {command}: {', '.join(unknown)}"
+                    f"unknown config keys for {args.command}: {', '.join(unknown)}"
                 )
+            for key, value in file_values.items():
+                # null means "not given"
+                if value is not None:
+                    try:
+                        file_values[key] = _typed(options[key][0], value)
+                    except ValueError as err:
+                        raise ValueError(f"{key}: {err}") from None
     effective = {}
-    for key, (coerce, default) in schema.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            effective[key] = flag_value
-        elif key in file_values and file_values[key] is not None:
-            with _stage("reading the config file"):
-                effective[key] = coerce(file_values[key])
-        else:
-            effective[key] = default
+    for key, (_, default, _) in options.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key)
+        effective[key] = default if value is None else value
     return effective
 
 
@@ -271,10 +273,12 @@ def cmd_classify(cfg: dict) -> int:
     corpus = _read_corpus(cfg["input"], "reading the input documents", require_labels=False)
     lines = [_header("classify", cfg).rstrip("\n")]
     with _stage("classifying"):
-        for number, document in enumerate(corpus.documents, start=1):
-            decision = classify_document(model, document.tokens, cfg["epsilon"])
-            score = "NA" if decision.score is None else repr(decision.score)
-            lines.append(f"{number}\t{decision.outcome}\t{score}")
+        # one table for the whole input: a score equals classify_document's
+        table = doc_term_table(document.tokens for document in corpus.documents)
+        scores = table_scores(model, table)
+    for number, score in enumerate(scores, start=1):
+        outcome = threshold_outcome(score, cfg["epsilon"])
+        lines.append(f"{number}\t{outcome}\t{'NA' if score is None else repr(score)}")
     _write_text(cfg["output"], "\n".join(lines) + "\n")
     return 0
 
@@ -374,6 +378,53 @@ def cmd_counts(cfg: dict) -> int:
     return 0
 
 
+# (name, summary, handler, options) of every command
+COMMANDS = (
+    ("train", "train one category-vs-complement model", cmd_train, {
+        "train": (str, None, "training corpus file"),
+        "model": (str, None, "where to write the model"),
+        "category": (str, None, "target category"),
+        "trace": (str, None, "write the weight-fitting trace CSV here"),
+        **TRAINING_OPTIONS,
+    }),
+    ("classify", "classify documents with a saved model", cmd_classify, {
+        "model": (str, None, "model file from train"),
+        "input": (
+            str,
+            None,
+            "documents to classify (corpus format; the label field may be empty)",
+        ),
+        "output": (str, None, "decision TSV (default: stdout)"),
+        "epsilon": (float, 0.0, "rejection threshold"),
+    }),
+    ("eval", "train on every category, sweep epsilon, report the curve", cmd_eval, {
+        "train": (str, None, "training corpus file"),
+        "test": (str, None, "labeled test corpus file"),
+        "output": (str, None, "curve CSV (default: stdout)"),
+        # accepted only to be refused with a clear message
+        "category": (str, None, argparse.SUPPRESS),
+        "eps_max": (float, 0.5, "sweep upper end"),
+        "eps_step": (float, 0.005, "sweep step"),
+        **TRAINING_OPTIONS,
+    }),
+    ("clusters", "show cluster membership for a corpus", cmd_clusters, {
+        "train": (str, None, "training corpus file"),
+        "output": (str, None, "dump file (default: stdout)"),
+        "category": (
+            str, None, "cluster category-vs-complement instead of all categories"
+        ),
+        "gamma": (float, None, "share threshold"),
+        "top_l": (int, None, None),
+        "top_m": (int, None, None),
+        "multilabel": (str, "positive", None),
+    }),
+    ("counts", "dump the word-frequency table as CSV", cmd_counts, {
+        "train": (str, None, "training corpus file"),
+        "output": (str, None, "CSV file (default: stdout)"),
+    }),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixcat",
@@ -383,87 +434,24 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (or set MIXCAT_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_training_options(p):
-        p.add_argument("--method", help="wbm | hcm | fmm | cos")
-        p.add_argument("--gamma", type=float, help="share threshold for clustering")
-        p.add_argument("--top-l", type=int, dest="top_l", help="rank cutoff, own side")
-        p.add_argument("--top-m", type=int, dest="top_m", help="rank cutoff, other side")
-        p.add_argument("--eta", type=float, help="weight-fitting step size in (0, 1]")
-        p.add_argument("--iters", type=int, help="weight-fitting iteration cap")
-        p.add_argument("--tol", type=float, help="weight-fitting stop tolerance")
-        p.add_argument(
-            "--multilabel",
-            choices=POOL_RULES,
-            help="where multi-label documents go: their category's pool only "
-            "(positive) or the complement pool too (both)",
-        )
-
-    p_train = sub.add_parser(
-        "train", parents=[common], help="train one category-vs-complement model"
-    )
-    p_train.add_argument("--train", help="training corpus file")
-    p_train.add_argument("--model", help="where to write the model")
-    p_train.add_argument("--category", help="target category")
-    p_train.add_argument("--trace", help="write the weight-fitting trace CSV here")
-    add_training_options(p_train)
-    p_train.set_defaults(func=cmd_train, command="train")
-
-    p_classify = sub.add_parser(
-        "classify", parents=[common], help="classify documents with a saved model"
-    )
-    p_classify.add_argument("--model", help="model file from train")
-    p_classify.add_argument(
-        "--input",
-        help="documents to classify (corpus format; the label field may be empty)",
-    )
-    p_classify.add_argument("--output", help="decision TSV (default: stdout)")
-    p_classify.add_argument("--epsilon", type=float, help="rejection threshold")
-    p_classify.set_defaults(func=cmd_classify, command="classify")
-
-    p_eval = sub.add_parser(
-        "eval",
-        parents=[common],
-        help="train on every category, sweep epsilon, report the curve",
-    )
-    p_eval.add_argument("--train", help="training corpus file")
-    p_eval.add_argument("--test", help="labeled test corpus file")
-    p_eval.add_argument("--output", help="curve CSV (default: stdout)")
-    p_eval.add_argument("--category", help=argparse.SUPPRESS)
-    p_eval.add_argument("--eps-max", type=float, dest="eps_max", help="sweep upper end")
-    p_eval.add_argument("--eps-step", type=float, dest="eps_step", help="sweep step")
-    add_training_options(p_eval)
-    p_eval.set_defaults(func=cmd_eval, command="eval")
-
-    p_clusters = sub.add_parser(
-        "clusters", parents=[common], help="show cluster membership for a corpus"
-    )
-    p_clusters.add_argument("--train", help="training corpus file")
-    p_clusters.add_argument("--output", help="dump file (default: stdout)")
-    p_clusters.add_argument(
-        "--category", help="cluster category-vs-complement instead of all categories"
-    )
-    p_clusters.add_argument("--gamma", type=float, help="share threshold")
-    p_clusters.add_argument("--top-l", type=int, dest="top_l")
-    p_clusters.add_argument("--top-m", type=int, dest="top_m")
-    p_clusters.add_argument("--multilabel", choices=POOL_RULES)
-    p_clusters.set_defaults(func=cmd_clusters, command="clusters")
-
-    p_counts = sub.add_parser(
-        "counts", parents=[common], help="dump the word-frequency table as CSV"
-    )
-    p_counts.add_argument("--train", help="training corpus file")
-    p_counts.add_argument("--output", help="CSV file (default: stdout)")
-    p_counts.set_defaults(func=cmd_counts, command="counts")
+    for name, summary, run, options in COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for key, (kind, _, text) in options.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=_flag_type(kind),
+                choices=POOL_RULES if key == "multilabel" else None,
+                help=text,
+            )
+        p.set_defaults(run=run, options=options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _effective_config(args, args.command)
-        return args.func(cfg)
+        return args.run(_effective_config(args))
     except CliError as err:
         print(f"mixcat: error while {err.stage}: {err}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ is the value where they meet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -141,10 +142,10 @@ class BreakEven:
 
 def default_epsilon_grid(maximum: float = 0.5, step: float = 0.005) -> tuple[float, ...]:
     """Evenly spaced thresholds from 0 to ``maximum`` inclusive."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if maximum < 0:
-        raise ValueError("maximum must be nonnegative")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
+    if not (maximum >= 0 and math.isfinite(maximum)):
+        raise ValueError("maximum must be nonnegative and finite")
     count = int(maximum / step + 1e-9)
     return tuple(k * step for k in range(count + 1))
 
@@ -170,6 +171,8 @@ def score_documents(models: Sequence, corpus: LabeledCorpus) -> dict:
     """
     if not models:
         raise ValueError("no models to evaluate")
+    if not corpus.documents:
+        raise ValueError("no test documents to evaluate")
     seen = set()
     for model in models:
         if model.category in seen:

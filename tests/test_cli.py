@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mixcat import load_model
+from mixcat import classify_document, load_model
 from mixcat.cli import main
 
 
@@ -148,6 +148,55 @@ class TestClassify:
             assert (number, outcome) == ("1", expected)
             float(score)  # a parseable normalized log ratio
 
+    @pytest.mark.parametrize("method", [
+        ["wbm"], ["hcm", "--gamma", "0.5"], ["fmm", "--gamma", "0.4"], ["cos"],
+    ])
+    def test_lines_match_classify_document(self, tmp_path, sports_file, method):
+        model_path = tmp_path / "m.json"
+        assert main([
+            "train", "--train", str(sports_file), "--model", str(model_path),
+            "--category", "c1", "--method", *method,
+        ]) == 0
+        input_path = tmp_path / "docs.txt"
+        documents = [
+            "racket ball ball", "", "comet nebula", "goal kick comet", "ball",
+            "shot stroke racket goal kick ball",
+        ]
+        input_path.write_text(
+            "".join(f"\t{doc}\n" for doc in documents), encoding="utf-8"
+        )
+        out_path = tmp_path / "out.tsv"
+        assert main([
+            "classify", "--model", str(model_path), "--input", str(input_path),
+            "--output", str(out_path), "--epsilon", "0.05",
+        ]) == 0
+        rows = [
+            line for line in out_path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")
+        ]
+        model = load_model(model_path)
+        expected = []
+        for number, doc in enumerate(documents, start=1):
+            decision = classify_document(model, doc.split(), 0.05)
+            score = "NA" if decision.score is None else repr(decision.score)
+            expected.append(f"{number}\t{decision.outcome}\t{score}")
+        assert rows == expected
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e400"])
+    def test_non_finite_epsilon_flag_rejected(
+        self, tmp_path, sports_file, capsys, epsilon
+    ):
+        model_path = self._train(tmp_path, sports_file, "c1")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "classify", "--model", str(model_path),
+                "--input", str(sports_file), "--epsilon", epsilon,
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --epsilon: invalid float value: '{epsilon}'" in err
+
     def test_documents_without_evidence_get_na(self, tmp_path, sports_file, capsys):
         model_path = self._train(tmp_path, sports_file, "c1")
         input_path = tmp_path / "docs.txt"
@@ -277,6 +326,34 @@ class TestEval:
             if not line.startswith("#")
         ]
         assert len(body) == 1 + 3  # header plus 0.0, 0.05, 0.1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps-max", "1e400"), ("--eps-step", "nan"), ("--iters", "2.7"),
+    ])
+    def test_malformed_flags_rejected(self, sports_file, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "eval", "--train", str(sports_file), "--test", str(sports_file),
+                "--method", "wbm", flag, value,
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err
+        assert "Traceback" not in err
+
+    def test_empty_test_corpus_rejected(self, tmp_path, sports_file, capsys):
+        test_path = tmp_path / "empty.txt"
+        test_path.write_text("", encoding="utf-8")
+        code = main([
+            "eval", "--train", str(sports_file), "--test", str(test_path),
+            "--method", "wbm",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "mixcat: error while evaluating: no test documents to evaluate\n"
+        )
 
     def test_category_flag_refused(self, sports_file, capsys):
         code = main([
@@ -416,6 +493,48 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "unknown config keys" in err
         assert "mystery" in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"gamma": [0.4]}', "gamma"),
+        ('{"gamma": {"value": 0.4}}', "gamma"),
+        ('{"gamma": "0.4"}', "gamma"),
+        ('{"gamma": NaN}', "gamma"),
+        ('{"gamma": 1e400}', "gamma"),
+        pytest.param('{"eta": 1' + "0" * 400 + '}', "eta", id="eta-overflows-float"),
+        ('{"iters": 2.7}', "iters"),
+        ('{"iters": true}', "iters"),
+        ('{"iters": "5"}', "iters"),
+        ('{"method": 3}', "method"),
+        ('{"method": false}', "method"),
+    ])
+    def test_malformed_values_rejected(self, tmp_path, sports_file, capsys, text, key):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(text, encoding="utf-8")
+        model_path = tmp_path / "m.json"
+        code = main([
+            "train", "--train", str(sports_file), "--model", str(model_path),
+            "--category", "c1", "--method", "fmm", "--gamma", "0.4",
+            "--config", str(config_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mixcat: error while reading the config file: {key}: ")
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
+    def test_null_means_not_given(self, tmp_path, sports_file):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(
+            json.dumps({"gamma": None, "iters": None, "eta": 0.5}), encoding="utf-8"
+        )
+        model_path = tmp_path / "m.json"
+        assert main([
+            "train", "--train", str(sports_file), "--model", str(model_path),
+            "--category", "c1", "--method", "fmm", "--gamma", "0.4",
+            "--config", str(config_path),
+        ]) == 0
+        header = _config_line(model_path)
+        assert (header["gamma"], header["iters"], header["eta"]) == (0.4, 100, 0.5)
 
     def test_config_file_alone_can_drive_classification(
         self, tmp_path, sports_file, capsys

@@ -131,6 +131,12 @@ class TestEpsilonGrid:
             default_epsilon_grid(0.5, 0.0)
         with pytest.raises(ValueError, match="maximum"):
             default_epsilon_grid(-0.1, 0.005)
+        for step in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step"):
+                default_epsilon_grid(0.5, step)
+        for maximum in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="maximum"):
+                default_epsilon_grid(maximum, 0.005)
 
 
 class TestSweep:
@@ -209,6 +215,11 @@ class TestSweep:
         corpus, _ = separable
         with pytest.raises(ValueError, match="no models"):
             sweep([], corpus)
+
+    def test_needs_test_documents(self, separable):
+        _, models = separable
+        with pytest.raises(ValueError, match="no test documents"):
+            sweep(models, parse_corpus([]))
 
 
 GRID = default_epsilon_grid()
