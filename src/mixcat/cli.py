@@ -21,11 +21,12 @@ import sys
 from contextlib import contextmanager
 
 from mixcat.clustering import rank_clusters, soft_clusters
-from mixcat.corpus import complement_corpus, parse_corpus
-from mixcat.counts import count_frequencies, count_pools
+from mixcat.corpus import parse_corpus
+from mixcat.counts import count_frequencies
 from mixcat.estimation import EmConfig
 from mixcat.evaluation import break_even, default_epsilon_grid, sweep
 from mixcat.models import (
+    category_table,
     doc_term_table,
     load_model,
     save_model,
@@ -337,11 +338,8 @@ def cmd_clusters(cfg: dict) -> int:
                 raise ValueError(
                     f"category {cfg['category']!r} does not occur in the training corpus"
                 )
-            positive, negative = complement_corpus(
+            table = category_table(
                 corpus, cfg["category"], cfg["multilabel"] == "positive"
-            )
-            table = count_pools(
-                [(cfg["category"], positive), ("~" + cfg["category"], negative)]
             )
         else:
             table = count_frequencies(corpus)

@@ -66,27 +66,22 @@ def parse_corpus(source: Iterable[str], require_labels: bool = True) -> LabeledC
     without a TAB separator or with a malformed label list.
     """
     documents = []
-    categories: list[str] = []
-    seen = set()
+    categories: dict[str, None] = {}  # an ordered set
     for line_number, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         head, sep, body = line.partition("\t")
         if not sep:
             raise CorpusFormatError(line_number, "missing TAB between labels and tokens")
-        labels = []
+        labels: dict[str, None] = {}
         if head.strip():
             for raw in head.split(","):
                 label = raw.strip()
                 if not label:
                     raise CorpusFormatError(line_number, f"empty label in {head!r}")
-                if label not in labels:
-                    labels.append(label)
+                labels[label] = None
         if require_labels and not labels:
             raise CorpusFormatError(line_number, "document has no labels")
-        for label in labels:
-            if label not in seen:
-                seen.add(label)
-                categories.append(label)
+        categories.update(labels)
         documents.append(LabeledDocument(frozenset(labels), tuple(body.split())))
     return LabeledCorpus(tuple(documents), tuple(categories))
 

@@ -7,7 +7,9 @@ document order agree, and a finished table is immutable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from mixcat.corpus import LabeledCorpus
@@ -51,17 +53,11 @@ def count_frequencies(corpus: LabeledCorpus) -> FrequencyTable:
     category's cell.  The vocabulary lists every token seen, in
     first-appearance order.
     """
-    cells: dict[str, dict[str, int]] = {c: {} for c in corpus.categories}
-    vocabulary: list[str] = []
-    seen = set()
+    cells = {c: Counter() for c in corpus.categories}
     for doc in corpus.documents:
-        for token in doc.tokens:
-            if token not in seen:
-                seen.add(token)
-                vocabulary.append(token)
-            for label in doc.labels:
-                row = cells[label]
-                row[token] = row.get(token, 0) + 1
+        for label in doc.labels:
+            cells[label].update(doc.tokens)
+    vocabulary = dict.fromkeys(chain.from_iterable(d.tokens for d in corpus.documents))
     return FrequencyTable(corpus.categories, tuple(vocabulary), cells)
 
 
@@ -71,19 +67,13 @@ def count_pools(pools: Sequence[tuple[str, Sequence[str]]]) -> FrequencyTable:
     Used for the binary protocol, where the two pools are a category's
     documents and its complement's.
     """
-    cells: dict[str, dict[str, int]] = {}
-    vocabulary: list[str] = []
-    seen = set()
+    cells: dict[str, Counter] = {}
     for name, tokens in pools:
         if name in cells:
             raise ValueError(f"duplicate pool name: {name!r}")
-        row: dict[str, int] = {}
-        cells[name] = row
-        for token in tokens:
-            if token not in seen:
-                seen.add(token)
-                vocabulary.append(token)
-            row[token] = row.get(token, 0) + 1
+        cells[name] = Counter(tokens)
+    # each row lists its words in first-appearance order
+    vocabulary = dict.fromkeys(chain.from_iterable(cells.values()))
     return FrequencyTable(tuple(cells), tuple(vocabulary), cells)
 
 

@@ -100,7 +100,7 @@ def pack_tokens(
         [[float(dist.get(w, 0.0)) for w in words] for dist in dists],
         dtype=np.float64,
     )
-    uncovered = [w for t, w in enumerate(words) if probs[:, t].sum() <= 0.0]
+    uncovered = [w for w, none in zip(words, probs.sum(axis=0) <= 0.0) if none]
     if uncovered:
         raise ValueError(
             "token types with zero probability under every component: "

@@ -141,13 +141,16 @@ class BreakEven:
 
 
 def default_epsilon_grid(maximum: float = 0.5, step: float = 0.005) -> tuple[float, ...]:
-    """Evenly spaced thresholds from 0 to ``maximum`` inclusive."""
+    """Evenly spaced thresholds from 0 to ``maximum`` inclusive, at most 10**6."""
     if not (step > 0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
     if not (maximum >= 0 and math.isfinite(maximum)):
         raise ValueError("maximum must be nonnegative and finite")
-    count = int(maximum / step + 1e-9)
-    return tuple(k * step for k in range(count + 1))
+    # the last index, kept a float so that an overflowing quotient stays inf
+    last = maximum / step + 1e-9
+    if last >= 1e6:
+        raise ValueError(f"a grid to {maximum!r} in steps of {step!r} has over 10**6 points")
+    return tuple(k * step for k in range(int(last) + 1))
 
 
 def _validate_grid(grid: Sequence[float]) -> None:

@@ -122,16 +122,26 @@ class Decision:
 _COMPLEMENT_PREFIX = "~"
 
 
-def _pools(corpus: LabeledCorpus, category: str, positive_only: bool):
+def category_table(corpus: LabeledCorpus, category: str, positive_only: bool):
+    """Word counts of ``category`` against its complement.
+
+    The rows are ``category`` and ``~category``, filled as
+    ``complement_corpus`` splits the corpus; either row may be empty.
+    """
     positive, negative = complement_corpus(corpus, category, positive_only)
-    if not positive:
+    return count_pools([(category, positive), (_COMPLEMENT_PREFIX + category, negative)])
+
+
+def _pools(corpus: LabeledCorpus, category: str, positive_only: bool):
+    """The training table and its row names; both rows need tokens."""
+    table = category_table(corpus, category, positive_only)
+    if not table.category_total(category):
         raise TrainingError(f"category {category!r} has no training tokens")
-    if not negative:
+    if not table.category_total(_COMPLEMENT_PREFIX + category):
         raise TrainingError(
             f"the complement of category {category!r} has no training tokens"
         )
-    names = (category, _COMPLEMENT_PREFIX + category)
-    return names, count_pools([(names[0], positive), (names[1], negative)])
+    return table.categories, table
 
 
 def train_wbm(
@@ -500,7 +510,9 @@ def cosine_decide(model: CosineModel, tokens: Iterable[str], epsilon: float) -> 
 
 
 def classify_document(model, tokens: Sequence[str], epsilon: float) -> Decision:
-    """Decide one document under any of the four model kinds."""
+    """Decide one document under any model kind; ``epsilon`` must be nonnegative."""
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
     if isinstance(model, CosineModel):
         return cosine_decide(model, tokens, epsilon)
     logl_pos, logl_neg, n_eff = doc_log_likelihood(model, tokens)

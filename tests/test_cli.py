@@ -355,6 +355,20 @@ class TestEval:
             "mixcat: error while evaluating: no test documents to evaluate\n"
         )
 
+    @pytest.mark.parametrize("eps_max, eps_step", [("1e300", "1e-300"), ("1e15", "0.005")])
+    def test_oversized_grid_refused(self, sports_file, capsys, eps_max, eps_step):
+        code = main([
+            "eval", "--train", str(sports_file), "--test", str(sports_file),
+            "--method", "wbm", "--eps-max", eps_max, "--eps-step", eps_step,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "mixcat: error while validating the configuration: "
+        )
+        assert "over 10**6 points" in captured.err
+
     def test_category_flag_refused(self, sports_file, capsys):
         code = main([
             "eval", "--train", str(sports_file), "--test", str(sports_file),
@@ -416,6 +430,28 @@ class TestClusters:
         code = main(["clusters", "--train", str(sports_file)])
         assert code == 1
         assert "exactly one scheme" in capsys.readouterr().err
+
+    def test_empty_complement_is_shown_but_not_trained(self, tmp_path, capsys):
+        path = tmp_path / "only_c1.txt"
+        path.write_text("c1\tracket shot\nc1\tshot ball\n", encoding="utf-8")
+        code = main([
+            "clusters", "--train", str(path), "--category", "c1", "--gamma", "0.5",
+        ])
+        assert code == 0
+        body = [
+            line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")
+        ]
+        assert body == ["k1 (c1): racket, shot, ball", "k2 (~c1): ", "discarded: "]
+        code = main([
+            "train", "--train", str(path), "--category", "c1", "--method", "wbm",
+            "--model", str(tmp_path / "m.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "mixcat: error while training the model: "
+            "the complement of category 'c1' has no training tokens\n"
+        )
 
 
 class TestCounts:

@@ -3,6 +3,8 @@
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixcat import (
     CorpusFormatError,
@@ -78,6 +80,36 @@ class TestSerialization:
     def test_empty_corpus_serializes_to_empty_string(self):
         corpus = parse_corpus(io.StringIO(""))
         assert serialize_corpus(corpus) == ""
+
+    @given(
+        st.lists(
+            st.tuples(
+                # unlabeled, multi-label and repeated-label documents
+                st.lists(st.sampled_from(("a", "b", "c", "two words")), max_size=4),
+                # empty bodies, and tokens of any non-space characters
+                st.lists(
+                    st.text(
+                        st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
+                        min_size=1,
+                        max_size=4,
+                    ),
+                    max_size=5,
+                ),
+                st.sampled_from((" ", "  ", "\t")),
+            ),
+            max_size=8,
+        )
+    )
+    def test_parse_serialize_parse_round_trip(self, documents):
+        text = "".join(
+            f"{','.join(labels)}\t{separator.join(tokens)}\n"
+            for labels, tokens, separator in documents
+        )
+        corpus = parse_corpus(io.StringIO(text), require_labels=False)
+        serialized = serialize_corpus(corpus)
+        again = parse_corpus(io.StringIO(serialized), require_labels=False)
+        assert again == corpus
+        assert serialize_corpus(again) == serialized
 
 
 class TestComplementPools:

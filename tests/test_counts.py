@@ -3,14 +3,18 @@
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixcat import (
+    complement_corpus,
     count_frequencies,
     count_pools,
     parse_corpus,
     soft_clusters,
     cluster_frequencies,
 )
+from mixcat.models import category_table
 
 
 class TestCountFrequencies:
@@ -82,3 +86,84 @@ class TestClusterFrequencies:
         # the discarded word's counts appear nowhere
         total = sum(freqs.values())
         assert total == 17 - binary_table.word_total("ball")
+
+
+# The hand-written counting loops both tables were built with before
+# they were counted with Counter, kept as the reference: each returns
+# (categories, vocabulary, cells).
+
+
+def reference_count_frequencies(corpus):
+    cells = {c: {} for c in corpus.categories}
+    vocabulary = []
+    seen = set()
+    for doc in corpus.documents:
+        for token in doc.tokens:
+            if token not in seen:
+                seen.add(token)
+                vocabulary.append(token)
+            for label in doc.labels:
+                row = cells[label]
+                row[token] = row.get(token, 0) + 1
+    return corpus.categories, tuple(vocabulary), cells
+
+
+def reference_count_pools(pools):
+    cells = {}
+    vocabulary = []
+    seen = set()
+    for name, tokens in pools:
+        row = {}
+        cells[name] = row
+        for token in tokens:
+            if token not in seen:
+                seen.add(token)
+                vocabulary.append(token)
+            row[token] = row.get(token, 0) + 1
+    return tuple(cells), tuple(vocabulary), cells
+
+
+def assert_matches_reference(table, reference):
+    categories, vocabulary, cells = reference
+    assert table.categories == categories
+    assert table.vocabulary == vocabulary
+    nested = table.as_dict()
+    for category in categories:
+        # the same cells, each row in the same word order
+        assert list(nested[category].items()) == list(cells[category].items())
+        for word in vocabulary:
+            count = table.count(category, word)
+            assert type(count) is int
+            assert count == cells[category].get(word, 0)
+
+
+TOKENS = st.lists(st.sampled_from(("x", "y", "z", "w")), max_size=6)
+# label fields may be empty, list several labels or repeat one; bodies
+# may be empty
+CORPUS_LINES = st.lists(
+    st.tuples(st.lists(st.sampled_from("abc"), max_size=3), TOKENS), max_size=8
+).map(lambda docs: [f"{','.join(labels)}\t{' '.join(body)}" for labels, body in docs])
+
+
+class TestCountersMatchTheReference:
+    @given(CORPUS_LINES)
+    def test_count_frequencies(self, lines):
+        corpus = parse_corpus(lines, require_labels=False)
+        table = count_frequencies(corpus)
+        assert_matches_reference(table, reference_count_frequencies(corpus))
+
+    @given(st.lists(TOKENS, max_size=4))
+    def test_count_pools(self, pools):
+        named = [(f"p{i}", tuple(tokens)) for i, tokens in enumerate(pools)]
+        assert_matches_reference(count_pools(named), reference_count_pools(named))
+
+    @given(CORPUS_LINES, st.booleans())
+    def test_category_table(self, lines, positive_only):
+        corpus = parse_corpus(lines, require_labels=False)
+        for category in corpus.categories:
+            positive, negative = complement_corpus(corpus, category, positive_only)
+            reference = reference_count_pools(
+                [(category, positive), ("~" + category, negative)]
+            )
+            table = category_table(corpus, category, positive_only)
+            assert_matches_reference(table, reference)

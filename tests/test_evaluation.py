@@ -138,6 +138,16 @@ class TestEpsilonGrid:
             with pytest.raises(ValueError, match="maximum"):
                 default_epsilon_grid(maximum, 0.005)
 
+    # each of these grids would be refused before a point is built
+    @pytest.mark.parametrize("maximum, step", [
+        (1e300, 1e-300),  # the point count overflows to inf
+        (1e15, 0.005),
+        (1.0, 1e-6),  # 10**6 + 1 points
+    ])
+    def test_grids_over_a_million_points_refused(self, maximum, step):
+        with pytest.raises(ValueError, match=r"over 10\*\*6 points"):
+            default_epsilon_grid(maximum, step)
+
 
 class TestSweep:
     @pytest.fixture

@@ -327,6 +327,19 @@ class TestDispatch:
             train_fmm(sports_corpus, "c1", 0.4), doc, 0.0
         ).outcome == "negative"
 
+    @pytest.mark.parametrize("train", [
+        train_wbm,
+        lambda corpus, category: train_hcm(corpus, category, gamma=0.5),
+        lambda corpus, category: train_fmm(corpus, category, 0.4),
+        train_cos,
+    ], ids=["wbm", "hcm", "fmm", "cos"])
+    @pytest.mark.parametrize("doc", [(), ("comet", "nebula"), ("comet", "goal")],
+                             ids=["empty", "oov-only", "known-word"])
+    def test_negative_epsilon_refused_for_every_document(self, sports_corpus, train, doc):
+        model = train(sports_corpus, "c1")
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            classify_document(model, doc, -1.0)
+
 
 _DROP = object()  # marks a field to delete from a payload
 

@@ -9,6 +9,7 @@ cluster for ``hcm``), and a dense vocabulary-length vector for ``cos``.
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,9 @@ from mixcat import (
     WordModel,
     classify_document,
     doc_log_likelihood,
+    load_model,
     parse_corpus,
+    save_model,
     score_documents,
     train_cos,
     train_fmm,
@@ -177,3 +180,29 @@ def test_log_likelihoods_match_the_reference(train_docs, test_docs, method):
             assert n_eff == ref_n
             assert abs(pos - ref_pos) <= TOLERANCE
             assert abs(neg - ref_neg) <= TOLERANCE
+
+
+@pytest.mark.parametrize("method", sorted(TRAINERS))
+@settings(max_examples=25)
+@given(train_docs=TRAIN, test_docs=TEST)
+def test_save_load_round_trip_keeps_decisions(
+    tmp_path_factory, method, train_docs, test_docs
+):
+    train = parse_corpus(_lines(train_docs))
+    test = parse_corpus(_lines(test_docs))
+    models = _models(train, method)
+    assume(models)
+    # one file, rewritten by every example
+    path = tmp_path_factory.getbasetemp() / "round_trip_model.json"
+    for model in models:
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        loaded = load_model(path)
+        for document in test.documents:
+            for epsilon in EPSILONS:
+                assert classify_document(loaded, document.tokens, epsilon) == (
+                    classify_document(model, document.tokens, epsilon)
+                )
+        # the reloaded model saves to the same bytes
+        save_model(loaded, path)
+        assert path.read_text(encoding="utf-8") == text
