@@ -325,6 +325,9 @@ def cmd_clusters(cfg: dict) -> int:
     _require(cfg, "clusters", "train")
     if cfg["multilabel"] not in POOL_RULES:
         raise _invalid("multilabel must be 'positive' or 'both'")
+    if cfg["multilabel"] == "both" and cfg["category"] is None:
+        # without a category, each row already holds every document carrying its label
+        raise _invalid("--multilabel both applies only with --category")
     has_gamma = cfg["gamma"] is not None
     has_rank = cfg["top_l"] is not None or cfg["top_m"] is not None
     if has_gamma == has_rank:

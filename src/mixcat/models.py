@@ -98,12 +98,11 @@ class MixtureModel:
 
 @dataclass(frozen=True)
 class CosineModel:
-    """Raw per-side word-frequency vectors."""
+    """Raw per-side word frequencies over a shared vocabulary."""
 
     category: str
-    vocabulary: tuple[str, ...]
-    positive: tuple[float, ...]
-    negative: tuple[float, ...]
+    positive: Mapping[str, float]
+    negative: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -275,8 +274,8 @@ def train_cos(
     vocab = table.vocabulary
     sides = [[table.count(name, w) for w in vocab] for name in (pos_name, neg_name)]
     floats = {count: float(count) for count in set().union(*sides)}
-    positive, negative = (tuple(map(floats.__getitem__, side)) for side in sides)
-    return CosineModel(category, vocab, positive, negative)
+    positive, negative = (dict(zip(vocab, map(floats.__getitem__, s))) for s in sides)
+    return CosineModel(category, positive, negative)
 
 
 class DocTermTable(NamedTuple):
@@ -338,12 +337,14 @@ def _word_terms(model, words: Collection[str]):
     words outside the model are finite and carry no weight.
     """
     n = len(words)
-    if isinstance(model, WordModel):
+    if isinstance(model, (WordModel, CosineModel)):
+        cosine = isinstance(model, CosineModel)
+        default = 0.0 if cosine else 1.0
         terms = np.empty((2, n))
         for row, side in zip(terms, (model.positive, model.negative)):
-            row[:] = np.fromiter(map(side.get, words, repeat(1.0)), np.float64, n)
+            row[:] = np.fromiter(map(side.get, words, repeat(default)), np.float64, n)
         known = np.fromiter(map(model.positive.__contains__, words), bool, n)
-        return _floored_log(terms), known
+        return (terms if cosine else _floored_log(terms)), known
     if isinstance(model, HardClusterModel):
         m = len(model.positive)
         found = map(model.clustering.assignments.get, words, repeat((m,)))
@@ -362,13 +363,6 @@ def _word_terms(model, words: Collection[str]):
             )
         known = map(model.clustering.assignments.__contains__, words)
         return _floored_log(mixture), np.fromiter(known, bool, n)
-    if isinstance(model, CosineModel):
-        index = dict(zip(model.vocabulary, range(len(model.vocabulary))))
-        ids = np.fromiter(map(index.get, words, repeat(-1)), np.intp, n)
-        terms = np.empty((2, n))
-        for row, side in zip(terms, (model.positive, model.negative)):
-            row[:] = np.fromiter(map(side.__getitem__, ids.tolist()), np.float64, n)
-        return terms, ids >= 0
     raise TypeError(f"unknown model type: {type(model).__name__}")
 
 
@@ -405,8 +399,8 @@ def _score(model, pos, neg, evidence):
         norm = np.sqrt(evidence)
         # sides hold whole counts once trained, and a sum of squared whole
         # counts is exact, so hypot gives what sqrt(p @ p) gives
-        return pos / (norm * math.hypot(*model.positive)) - neg / (
-            norm * math.hypot(*model.negative)
+        return pos / (norm * math.hypot(*model.positive.values())) - neg / (
+            norm * math.hypot(*model.negative.values())
         )
     return (pos - neg) / evidence
 
@@ -486,7 +480,7 @@ def decide(
     The normalized score is ``(logl_pos - logl_neg) / n_eff``; see
     ``threshold_outcome`` for the rule.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     if n_eff < 1:
         raise ValueError("decision needs at least one scored token")
@@ -502,35 +496,35 @@ def cosine_decide(model: CosineModel, tokens: Iterable[str], epsilon: float) -> 
     like the likelihood rule.  A document sharing no words with the
     training vocabulary has a zero vector and stays unclassified.
     """
-    if epsilon < 0:
+    return classify_document(model, tokens, epsilon)
+
+
+def classify_document(model, tokens: Sequence[str], epsilon: float) -> Decision:
+    """Decide one document under any model kind; ``epsilon`` must be nonnegative.
+
+    The score is the one ``decide`` or ``cosine_decide`` describes, and
+    None when no token of the document is in the model.
+    """
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
+    method_of(model)  # refuses an unknown model type, even for an empty document
     pos, neg, evidence = _document_sums(model, tokens)
     score = float(_score(model, pos, neg, evidence)) if evidence else None
     return Decision(threshold_outcome(score, epsilon), score)
 
 
-def classify_document(model, tokens: Sequence[str], epsilon: float) -> Decision:
-    """Decide one document under any model kind; ``epsilon`` must be nonnegative."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if isinstance(model, CosineModel):
-        return cosine_decide(model, tokens, epsilon)
-    logl_pos, logl_neg, n_eff = doc_log_likelihood(model, tokens)
-    if n_eff == 0:
-        return Decision("unclassified", None)
-    return decide(logl_pos, logl_neg, n_eff, epsilon)
+_METHOD_TAGS = {
+    WordModel: "wbm",
+    HardClusterModel: "hcm",
+    MixtureModel: "fmm",
+    CosineModel: "cos",
+}
 
 
 def method_of(model) -> str:
     """Short method tag used by the CLI and the persistence format."""
-    tags = {
-        WordModel: "wbm",
-        HardClusterModel: "hcm",
-        MixtureModel: "fmm",
-        CosineModel: "cos",
-    }
     try:
-        return tags[type(model)]
+        return _METHOD_TAGS[type(model)]
     except KeyError:
         raise TypeError(f"unknown model type: {type(model).__name__}") from None
 
@@ -568,7 +562,7 @@ def save_model(model, path) -> None:
         "method": method,
         "category": model.category,
     }
-    if method == "wbm":
+    if method in ("wbm", "cos"):
         vocab = list(model.positive)
         payload["vocabulary"] = vocab
         payload["positive"] = [model.positive[w] for w in vocab]
@@ -588,11 +582,6 @@ def save_model(model, path) -> None:
         ]
         payload["positive_theta"] = list(model.positive_theta)
         payload["negative_theta"] = list(model.negative_theta)
-    else:
-        payload["vocabulary"] = list(model.vocabulary)
-        payload["positive"] = list(model.positive)
-        payload["negative"] = list(model.negative)
-        payload["settings"] = {}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -713,12 +702,17 @@ def load_model(path):
         vocab = tuple(map(sys.intern, vocab))
         positive = _vector(payload, "positive", len(vocab), "vocabulary word")
         negative = _vector(payload, "negative", len(vocab), "vocabulary word")
-    if method == "wbm":
-        _check_simplex(positive, "positive")
-        _check_simplex(negative, "negative")
-        return WordModel(
-            category, dict(zip(vocab, positive)), dict(zip(vocab, negative))
-        )
+        if method == "wbm":
+            _check_simplex(positive, "positive")
+            _check_simplex(negative, "negative")
+        else:
+            for name, side in (("positive", positive), ("negative", negative)):
+                _check_nonnegative(side, name)
+                if not any(side):
+                    raise ValueError(f"model field {name!r} is all zero")
+            positive, negative = map(float, positive), map(float, negative)
+        kind = WordModel if method == "wbm" else CosineModel
+        return kind(category, dict(zip(vocab, positive)), dict(zip(vocab, negative)))
     if method == "hcm":
         clustering, _ = _clustering_from_payload(payload)
         if not clustering.is_hard():
@@ -758,11 +752,4 @@ def load_model(path):
             tuple(negative_theta),
             settings,
         )
-    if method == "cos":
-        for name, side in (("positive", positive), ("negative", negative)):
-            _check_nonnegative(side, name)
-            if not any(side):
-                raise ValueError(f"model field {name!r} is all zero")
-        positive, negative = tuple(map(float, positive)), tuple(map(float, negative))
-        return CosineModel(category, vocab, positive, negative)
     raise ValueError(f"unknown model method: {method!r}")

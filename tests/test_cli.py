@@ -426,6 +426,29 @@ class TestClusters:
             "discarded: ball",
         ]
 
+    def test_both_rule_needs_a_category(self, tmp_path, capsys):
+        path = tmp_path / "multi.txt"
+        path.write_text(
+            "c1\tracket shot\nc1,c2\tball goal\nc2\tgoal kick\n", encoding="utf-8"
+        )
+        args = ["clusters", "--train", str(path), "--gamma", "0.3", "--multilabel"]
+        assert main([*args, "both"]) == 1
+        assert capsys.readouterr().err == (
+            "mixcat: error while validating the configuration: "
+            "--multilabel both applies only with --category\n"
+        )
+        assert main([*args, "positive"]) == 0
+        body = [
+            line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")
+        ]
+        # the c1,c2 document counts in both rows, as the both rule would count it
+        assert body == [
+            "k1 (c1): racket, shot, ball, goal",
+            "k2 (c2): ball, goal, kick",
+            "discarded: ",
+        ]
+
     def test_scheme_is_mandatory(self, sports_file, capsys):
         code = main(["clusters", "--train", str(sports_file)])
         assert code == 1

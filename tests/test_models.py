@@ -251,8 +251,9 @@ class TestDecide:
         assert small.score == large.score == 0.5
 
     def test_epsilon_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            decide(-1.0, -2.0, 2, -0.1)
+        for epsilon in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                decide(-1.0, -2.0, 2, epsilon)
 
     def test_needs_scored_tokens(self):
         with pytest.raises(ValueError, match="scored token"):
@@ -262,11 +263,10 @@ class TestDecide:
 class TestCosineModel:
     def test_fixture_vectors(self, sports_corpus):
         model = train_cos(sports_corpus, "c1")
-        assert model.vocabulary == (
-            "racket", "stroke", "shot", "ball", "goal", "kick",
-        )
-        assert model.positive == (4.0, 1.0, 2.0, 2.0, 1.0, 0.0)
-        assert model.negative == (0.0, 0.0, 0.0, 2.0, 3.0, 2.0)
+        vocabulary = ["racket", "stroke", "shot", "ball", "goal", "kick"]
+        assert list(model.positive) == list(model.negative) == vocabulary
+        assert list(model.positive.values()) == [4.0, 1.0, 2.0, 2.0, 1.0, 0.0]
+        assert list(model.negative.values()) == [0.0, 0.0, 0.0, 2.0, 3.0, 2.0]
 
     def test_fixture_decision(self, sports_corpus):
         model = train_cos(sports_corpus, "c1")
@@ -276,17 +276,17 @@ class TestCosineModel:
         assert decision.score == pytest.approx(expected, rel=1e-12)
 
     def test_aligned_document_is_positive(self):
-        model = CosineModel("a", ("x", "y"), (1.0, 0.0), (0.0, 1.0))
+        model = CosineModel("a", {"x": 1.0, "y": 0.0}, {"x": 0.0, "y": 1.0})
         decision = cosine_decide(model, ("x", "x"), 0.0)
         assert decision.outcome == "positive"
         assert decision.score == pytest.approx(1.0, rel=1e-12)
 
     def test_unknown_document_stays_unclassified(self):
-        model = CosineModel("a", ("x", "y"), (1.0, 0.0), (0.0, 1.0))
+        model = CosineModel("a", {"x": 1.0, "y": 0.0}, {"x": 0.0, "y": 1.0})
         assert cosine_decide(model, ("z", "w"), 0.0) == Decision("unclassified", None)
 
     def test_threshold_band(self):
-        model = CosineModel("a", ("x", "y"), (1.0, 1.0), (0.0, 1.0))
+        model = CosineModel("a", {"x": 1.0, "y": 1.0}, {"x": 0.0, "y": 1.0})
         # doc (x) has cos 1/sqrt(2) to positive, 0 to negative
         score = 1 / math.sqrt(2)
         assert cosine_decide(model, ("x",), 0.8).outcome == "unclassified"
@@ -337,8 +337,15 @@ class TestDispatch:
                              ids=["empty", "oov-only", "known-word"])
     def test_negative_epsilon_refused_for_every_document(self, sports_corpus, train, doc):
         model = train(sports_corpus, "c1")
-        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
-            classify_document(model, doc, -1.0)
+        for epsilon in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+                classify_document(model, doc, epsilon)
+
+    @pytest.mark.parametrize("doc", [(), ("comet", "nebula"), ("comet", "goal")],
+                             ids=["empty", "oov-only", "known-word"])
+    def test_unknown_model_type_refused_for_every_document(self, doc):
+        with pytest.raises(TypeError):
+            classify_document(object(), doc, 0.0)
 
 
 _DROP = object()  # marks a field to delete from a payload
@@ -429,6 +436,72 @@ _MALFORMED = [  # (id, base payload, path to the field, new value, error)
 ]
 
 
+# save_model's exact text for the sports fixture's c1 models
+_SAVED_WBM = """{
+  "schema_version": 1,
+  "method": "wbm",
+  "category": "c1",
+  "vocabulary": [
+    "racket",
+    "stroke",
+    "shot",
+    "ball",
+    "goal",
+    "kick"
+  ],
+  "positive": [
+    0.34615384615384615,
+    0.11538461538461539,
+    0.19230769230769232,
+    0.19230769230769232,
+    0.11538461538461539,
+    0.038461538461538464
+  ],
+  "negative": [
+    0.05,
+    0.05,
+    0.05,
+    0.25,
+    0.35,
+    0.25
+  ],
+  "settings": {}
+}
+"""
+
+_SAVED_COS = """{
+  "schema_version": 1,
+  "method": "cos",
+  "category": "c1",
+  "vocabulary": [
+    "racket",
+    "stroke",
+    "shot",
+    "ball",
+    "goal",
+    "kick"
+  ],
+  "positive": [
+    4.0,
+    1.0,
+    2.0,
+    2.0,
+    1.0,
+    0.0
+  ],
+  "negative": [
+    0.0,
+    0.0,
+    0.0,
+    2.0,
+    3.0,
+    2.0
+  ],
+  "settings": {}
+}
+"""
+
+
 class TestPersistence:
     @pytest.fixture
     def models(self, sports_corpus):
@@ -458,6 +531,14 @@ class TestPersistence:
                     first = classify_document(model, doc, epsilon)
                     second = classify_document(loaded, doc, epsilon)
                     assert first == second  # scores bit-identical
+
+    @pytest.mark.parametrize(("train", "text"), [(train_wbm, _SAVED_WBM),
+                                                 (train_cos, _SAVED_COS)],
+                             ids=["wbm", "cos"])
+    def test_saved_text_is_pinned(self, sports_corpus, tmp_path, train, text):
+        path = tmp_path / "m.json"
+        save_model(train(sports_corpus, "c1"), path)
+        assert path.read_text(encoding="utf-8") == text
 
     def test_round_trip_preserves_clustering(self, sports_corpus, tmp_path):
         model = train_fmm(sports_corpus, "c1", 0.4)
@@ -499,8 +580,8 @@ class TestPersistence:
         sides = [
             list(word.positive.values()),
             list(word.negative.values()),
-            list(cosine.positive),
-            list(cosine.negative),
+            list(cosine.positive.values()),
+            list(cosine.negative.values()),
             *(list(dist.values()) for dist in mixture.cluster_words),
         ]
         assert all(len(values) > len(set(values)) for values in sides[:4])

@@ -91,13 +91,13 @@ def reference_log_likelihood(model, tokens):
 def reference_score(model, tokens):
     if isinstance(model, CosineModel):
         counter = Counter(tokens)
-        doc = np.array([counter.get(w, 0) for w in model.vocabulary], dtype=np.float64)
+        doc = np.array([counter.get(w, 0) for w in model.positive], dtype=np.float64)
         norm = float(np.linalg.norm(doc))
         if norm == 0.0:
             return None
         score = 0.0
         for sign, side in ((1.0, model.positive), (-1.0, model.negative)):
-            vec = np.asarray(side, dtype=np.float64)
+            vec = np.array([side[w] for w in model.positive], dtype=np.float64)
             score += sign * float(doc @ vec) / (norm * float(np.linalg.norm(vec)))
         return score
     pos, neg, n_eff = reference_log_likelihood(model, tokens)
