@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from itertools import repeat
 
 from mixcat.clustering import rank_clusters, soft_clusters
 from mixcat.corpus import parse_corpus
@@ -148,6 +149,14 @@ def _require(cfg: dict, command: str, *keys: str) -> None:
             raise _invalid(f"{command} needs --{key.replace('_', '-')}")
 
 
+def _check_scheme_ranges(cfg: dict) -> None:
+    """Refuse a share threshold outside [0, 1) and a rank cutoff below 1."""
+    if cfg["gamma"] is not None and not 0.0 <= cfg["gamma"] < 1.0:
+        raise _invalid(f"gamma must be in [0, 1), got {cfg['gamma']}")
+    if any(cfg[key] is not None and cfg[key] < 1 for key in ("top_l", "top_m")):
+        raise _invalid("rank cutoffs must be at least 1")
+
+
 def _validate_training(cfg: dict) -> EmConfig | None:
     """Shared flag-combination checks for train and eval.
 
@@ -174,13 +183,13 @@ def _validate_training(cfg: dict) -> EmConfig | None:
                 f"gamma={cfg['gamma']} would allow overlapping clusters; "
                 "hcm needs gamma >= 0.5"
             )
+        _check_scheme_ranges(cfg)
         return None
     if has_rank:
         raise _invalid("fmm clusters by threshold; --top-l/--top-m do not apply")
     if not has_gamma:
         raise _invalid("fmm needs --gamma")
-    if not 0.0 <= cfg["gamma"] < 1.0:
-        raise _invalid(f"gamma must be in [0, 1), got {cfg['gamma']}")
+    _check_scheme_ranges(cfg)
     try:
         return EmConfig(eta=cfg["eta"], max_iterations=cfg["iters"], tolerance=cfg["tol"])
     except ValueError as err:
@@ -334,6 +343,7 @@ def cmd_clusters(cfg: dict) -> int:
         raise _invalid("choose exactly one scheme: --gamma, or --top-l with --top-m")
     if has_rank and (cfg["top_l"] is None or cfg["top_m"] is None):
         raise _invalid("the rank scheme needs both --top-l and --top-m")
+    _check_scheme_ranges(cfg)
     corpus = _read_corpus(cfg["train"], "reading the training corpus")
     with _stage("clustering"):
         if cfg["category"] is not None:
@@ -372,9 +382,8 @@ def cmd_counts(cfg: dict) -> int:
     buffer.write(_header("counts", cfg))
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["category", "word", "count"])
-    for category in table.categories:
-        for word in table.vocabulary:
-            writer.writerow([category, word, table.count(category, word)])
+    for category, row in zip(table.categories, table.matrix.tolist()):
+        writer.writerows(zip(repeat(category), table.vocabulary, row))
     _write_text(cfg["output"], buffer.getvalue())
     return 0
 

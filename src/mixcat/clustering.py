@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from mixcat.counts import FrequencyTable
 
 
@@ -85,16 +87,25 @@ def soft_clusters(table: FrequencyTable, gamma: float) -> Clustering:
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    clusters: list[set[str]] = [set() for _ in table.categories]
-    for word in table.vocabulary:
-        total = table.word_total(word)
-        if total == 0:
-            continue
-        for i, category in enumerate(table.categories):
-            f = table.count(category, word)
-            if f > 0 and f / total > gamma:
-                clusters[i].add(word)
-    return from_member_sets(clusters, table.vocabulary, table.categories)
+    if not table.categories:  # no row to pack into the keys below
+        return Clustering(0, table.vocabulary, (), {})
+    cells = table.matrix
+    # counts below 2**53 convert to float64 exactly and IEEE division is
+    # correctly rounded, so each share equals Python's int / int; a word
+    # with no occurrences gives 0/0, which joins nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        member = (cells > 0) & (cells / cells.sum(axis=0) > gamma)
+    # one tuple per membership pattern, shared by every word that has it;
+    # a word's pattern, packed into bytes, is its key
+    packed = np.ascontiguousarray(np.packbits(member, axis=0).T)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    shared = [tuple(np.flatnonzero(member[:, i]).tolist()) for i in first.tolist()]
+    found = map(shared.__getitem__, which.tolist())
+    assignments = {word: ids for word, ids in zip(table.vocabulary, found) if ids}
+    return Clustering(
+        len(table.categories), table.vocabulary, table.categories, assignments
+    )
 
 
 def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
@@ -112,18 +123,28 @@ def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
     if top_l < 1 or top_m < 1:
         raise ValueError("rank cutoffs must be at least 1")
 
-    def top(category: str, cutoff: int) -> set[str]:
-        ranked = sorted(
-            (w for w in table.vocabulary if table.count(category, w) > 0),
-            key=lambda w: (-table.count(category, w), w),
-        )
-        return set(ranked[:cutoff])
+    vocabulary = table.vocabulary
+    n = len(vocabulary)
+    # each word's position in Python's string order breaks count ties
+    lexical_rank = np.empty(n, np.int64)
+    lexical_rank[sorted(range(n), key=vocabulary.__getitem__)] = np.arange(n)
 
-    first, second = table.categories
-    k1 = top(first, top_l) - top(second, top_m)
-    k2 = top(second, top_l) - top(first, top_m)
-    k3 = set(table.vocabulary) - k1 - k2
-    return from_member_sets([k1, k2, k3], table.vocabulary, None)
+    def top(row: int, cutoff: int) -> np.ndarray:
+        counts = table.matrix[row]
+        ranked = np.flatnonzero(counts)
+        ranked = ranked[np.lexsort((lexical_rank[ranked], -counts[ranked]))]
+        return ranked[:cutoff]
+
+    in_k1 = np.zeros(n, bool)
+    in_k1[top(0, top_l)] = True
+    in_k1[top(1, top_m)] = False
+    in_k2 = np.zeros(n, bool)
+    in_k2[top(1, top_l)] = True
+    in_k2[top(0, top_m)] = False
+    # k3, k1, k2 and both, indexed by in_k1 + 2 * in_k2
+    shared = ((2,), (0,), (1,), (0, 1))
+    found = map(shared.__getitem__, (in_k1 + 2 * in_k2).tolist())
+    return Clustering(3, vocabulary, None, dict(zip(vocabulary, found)))
 
 
 @dataclass(frozen=True)
@@ -156,13 +177,19 @@ def distribute_frequencies(
     """
     if clustering.related_categories is None:
         raise ValueError("frequency distribution needs category-related clusters")
+    totals = table.matrix.sum(axis=0).tolist()
+    # Python ints from here on: total * weight may exceed the int64 range
+    counts = dict(zip(table.categories, table.matrix.tolist()))
+    related = [counts[c] for c in clustering.related_categories]
     rows: list[dict[str, int | Fraction]] = [{} for _ in range(clustering.m)]
-    for word, ids in clustering.assignments.items():
-        total = table.word_total(word)
+    found = map(clustering.assignments.get, table.vocabulary)
+    for column, (word, ids, total) in enumerate(zip(table.vocabulary, found, totals)):
+        if ids is None:
+            continue
         if len(ids) == 1:
             rows[ids[0]][word] = total
             continue
-        weights = [table.count(clustering.related_categories[j], word) for j in ids]
+        weights = [related[j][column] for j in ids]
         denom = sum(weights)
         for j, weight in zip(ids, weights):
             # assignment implies a positive count in the related category

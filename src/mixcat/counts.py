@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from mixcat.corpus import LabeledCorpus
 
@@ -23,10 +25,15 @@ class FrequencyTable:
     cells, so a token occurrence in a document with k labels contributes
     k to it.  This keeps every per-category share f(w|c)/f(w) a proper
     fraction that sums to one over categories.
+
+    ``matrix`` holds the same counts as a read-only int64 array, one row
+    per category and one column per vocabulary word, for the stages
+    that work over the whole vocabulary at once.
     """
 
     categories: tuple[str, ...]
     vocabulary: tuple[str, ...]
+    matrix: np.ndarray = field(repr=False, compare=False)
     _cells: dict[str, dict[str, int]] = field(repr=False)
 
     def count(self, category: str, word: str) -> int:
@@ -58,7 +65,7 @@ def count_frequencies(corpus: LabeledCorpus) -> FrequencyTable:
         for label in doc.labels:
             cells[label].update(doc.tokens)
     vocabulary = dict.fromkeys(chain.from_iterable(d.tokens for d in corpus.documents))
-    return FrequencyTable(corpus.categories, tuple(vocabulary), cells)
+    return _table(cells, tuple(vocabulary))
 
 
 def count_pools(pools: Sequence[tuple[str, Sequence[str]]]) -> FrequencyTable:
@@ -74,7 +81,17 @@ def count_pools(pools: Sequence[tuple[str, Sequence[str]]]) -> FrequencyTable:
         cells[name] = Counter(tokens)
     # each row lists its words in first-appearance order
     vocabulary = dict.fromkeys(chain.from_iterable(cells.values()))
-    return FrequencyTable(tuple(cells), tuple(vocabulary), cells)
+    return _table(cells, tuple(vocabulary))
+
+
+def _table(cells: Mapping[str, Counter], vocabulary: tuple[str, ...]) -> FrequencyTable:
+    """The table of ``cells``, with its count matrix in vocabulary order."""
+    n = len(vocabulary)
+    matrix = np.empty((len(cells), n), np.int64)
+    for row, counts in zip(matrix, cells.values()):
+        row[:] = np.fromiter(map(counts.get, vocabulary, repeat(0)), np.int64, n)
+    matrix.setflags(write=False)
+    return FrequencyTable(tuple(cells), vocabulary, matrix, cells)
 
 
 def cluster_frequencies(
@@ -86,8 +103,15 @@ def cluster_frequencies(
     cluster's count is the sum of its member words' counts in that
     category.  Words the clustering discarded contribute nowhere.
     """
-    out: dict[tuple[str, int], int] = {}
-    for j, words in enumerate(clustering.clusters):
-        for category in table.categories:
-            out[(category, j)] = sum(table.count(category, w) for w in words)
-    return out
+    n = len(table.vocabulary)
+    ids = list(map(clustering.assignments.get, table.vocabulary, repeat(())))
+    sizes = np.fromiter(map(len, ids), np.intp, n)
+    clusters = np.fromiter(chain.from_iterable(ids), np.intp, sizes.sum())
+    member = np.zeros((clustering.m, n), np.int64)
+    member[clusters, np.arange(n).repeat(sizes)] = 1
+    sums = (table.matrix @ member.T).tolist()
+    return {
+        (category, j): sums[i][j]
+        for j in range(clustering.m)
+        for i, category in enumerate(table.categories)
+    }

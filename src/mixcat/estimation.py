@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -95,11 +96,11 @@ def pack_tokens(
         if count <= 0:
             raise ValueError(f"token {word!r} has non-positive count {count}")
     words = list(counter)
+    n = len(words)
     counts = np.array([counter[w] for w in words], dtype=np.float64)
-    probs = np.array(
-        [[float(dist.get(w, 0.0)) for w in words] for dist in dists],
-        dtype=np.float64,
-    )
+    probs = np.empty((len(dists), n))
+    for row, dist in zip(probs, dists):
+        row[:] = np.fromiter(map(dist.get, words, repeat(0.0)), np.float64, n)
     uncovered = [w for w, none in zip(words, probs.sum(axis=0) <= 0.0) if none]
     if uncovered:
         raise ValueError(

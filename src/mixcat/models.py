@@ -132,7 +132,7 @@ def category_table(corpus: LabeledCorpus, category: str, positive_only: bool):
 
 
 def _pools(corpus: LabeledCorpus, category: str, positive_only: bool):
-    """The training table and its row names; both rows need tokens."""
+    """The training table; both of its rows need tokens."""
     table = category_table(corpus, category, positive_only)
     if not table.category_total(category):
         raise TrainingError(f"category {category!r} has no training tokens")
@@ -140,7 +140,7 @@ def _pools(corpus: LabeledCorpus, category: str, positive_only: bool):
         raise TrainingError(
             f"the complement of category {category!r} has no training tokens"
         )
-    return table.categories, table
+    return table
 
 
 def train_wbm(
@@ -151,10 +151,11 @@ def train_wbm(
     Smoothing runs over the union vocabulary of both sides, so every
     training word has positive probability on both sides.
     """
-    (pos_name, neg_name), table = _pools(corpus, category, positive_only)
+    table = _pools(corpus, category, positive_only)
     vocab = table.vocabulary
-    positive = ele_distribution({w: table.count(pos_name, w) for w in vocab})
-    negative = ele_distribution({w: table.count(neg_name, w) for w in vocab})
+    positive, negative = (
+        ele_distribution(dict(zip(vocab, row))) for row in table.matrix.tolist()
+    )
     return WordModel(category, positive, negative)
 
 
@@ -185,7 +186,7 @@ def train_hcm(
             f"gamma={gamma} would allow overlapping clusters; "
             "hard clustering needs gamma >= 0.5"
         )
-    names, table = _pools(corpus, category, positive_only)
+    table = _pools(corpus, category, positive_only)
     if by_gamma:
         clustering = soft_clusters(table, gamma)
         settings = {"scheme": "threshold", "gamma": gamma}
@@ -199,7 +200,7 @@ def train_hcm(
         )
     freqs = cluster_frequencies(table, clustering)
     sides = []
-    for name in names:
+    for name in table.categories:
         counts = {j: freqs[name, j] for j in range(clustering.m)}
         dist = ele_distribution(counts)
         sides.append(tuple(dist[j] for j in range(clustering.m)))
@@ -224,7 +225,7 @@ def train_fmm(
     per-side fitting traces are stored under "positive" and "negative".
     """
     cfg = em_config or EmConfig()
-    names, table = _pools(corpus, category, positive_only)
+    table = _pools(corpus, category, positive_only)
     clustering = soft_clusters(table, gamma)
     distributed = distribute_frequencies(table, clustering)
     cluster_words = []
@@ -235,11 +236,11 @@ def train_fmm(
             raise TrainingError(
                 f"cluster related to {related!r} is empty at gamma={gamma}"
             ) from err
+    assigned, vocab = clustering.assignments, table.vocabulary
     results = []
-    for side, name in zip(("positive", "negative"), names):
-        counts = {
-            w: f for w in clustering.assignments if (f := table.count(name, w)) > 0
-        }
+    rows = zip(("positive", "negative"), table.categories, table.matrix.tolist())
+    for side, name, row in rows:
+        counts = {w: f for w, f in zip(vocab, row) if f > 0 and w in assigned}
         if not counts:
             raise TrainingError(
                 f"the {side} side ({name!r}) has no usable tokens "
@@ -270,9 +271,9 @@ def train_cos(
 
     Equal counts share one float, so a model holds one per distinct count.
     """
-    (pos_name, neg_name), table = _pools(corpus, category, positive_only)
+    table = _pools(corpus, category, positive_only)
     vocab = table.vocabulary
-    sides = [[table.count(name, w) for w in vocab] for name in (pos_name, neg_name)]
+    sides = table.matrix.tolist()
     floats = {count: float(count) for count in set().union(*sides)}
     positive, negative = (dict(zip(vocab, map(floats.__getitem__, s))) for s in sides)
     return CosineModel(category, positive, negative)

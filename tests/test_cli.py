@@ -120,6 +120,33 @@ class TestTrain:
         assert "do not apply" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gamma", "1.0"], "gamma must be in [0, 1), got 1.0"),
+            (["--gamma", "1.5"], "gamma must be in [0, 1), got 1.5"),
+            (["--top-l", "0", "--top-m", "3"], "rank cutoffs must be at least 1"),
+            (["--top-l", "3", "--top-m", "-1"], "rank cutoffs must be at least 1"),
+        ],
+    )
+    def test_hcm_scheme_ranges_are_validated(
+        self, tmp_path, sports_file, capsys, command, flags, message
+    ):
+        if command == "train":
+            where = ["--model", str(tmp_path / "m.json"), "--category", "c1"]
+        else:
+            where = ["--test", str(sports_file)]
+        code = main([
+            command, "--train", str(sports_file), *where, "--method", "hcm", *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"mixcat: error while validating the configuration: {message}\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestClassify:
     def _train(self, tmp_path, sports_file, category):
         model_path = tmp_path / f"{category}.json"
@@ -448,6 +475,25 @@ class TestClusters:
             "k2 (c2): ball, goal, kick",
             "discarded: ",
         ]
+
+    @pytest.mark.parametrize("category", [[], ["--category", "c1"]])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gamma", "1.0"], "gamma must be in [0, 1), got 1.0"),
+            (["--gamma", "-0.1"], "gamma must be in [0, 1), got -0.1"),
+            (["--top-l", "0", "--top-m", "3"], "rank cutoffs must be at least 1"),
+            (["--top-l", "3", "--top-m", "0"], "rank cutoffs must be at least 1"),
+        ],
+    )
+    def test_scheme_ranges_are_validated(
+        self, sports_file, capsys, category, flags, message
+    ):
+        code = main(["clusters", "--train", str(sports_file), *category, *flags])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"mixcat: error while validating the configuration: {message}\n"
+        )
 
     def test_scheme_is_mandatory(self, sports_file, capsys):
         code = main(["clusters", "--train", str(sports_file)])

@@ -1,5 +1,6 @@
 """Word clustering schemes and frequency distribution over clusters."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixcat import (
+    cluster_frequencies,
+    count_frequencies,
     count_pools,
     distribute_frequencies,
     from_member_sets,
+    parse_corpus,
     rank_clusters,
     soft_clusters,
 )
@@ -245,3 +249,156 @@ class TestFromMemberSets:
             frozenset(),
             frozenset({"a", "b"}),
         )
+
+
+# The per-word loops the stages ran before they worked over the count
+# matrix, kept as the reference.  They read the table only through
+# ``count`` and ``word_total``.
+
+
+def reference_soft_clusters(table, gamma):
+    clusters = [set() for _ in table.categories]
+    for word in table.vocabulary:
+        total = table.word_total(word)
+        if total == 0:
+            continue
+        for i, category in enumerate(table.categories):
+            f = table.count(category, word)
+            if f > 0 and f / total > gamma:
+                clusters[i].add(word)
+    return from_member_sets(clusters, table.vocabulary, table.categories)
+
+
+def reference_rank_clusters(table, top_l, top_m):
+    def top(category, cutoff):
+        ranked = sorted(
+            (w for w in table.vocabulary if table.count(category, w) > 0),
+            key=lambda w: (-table.count(category, w), w),
+        )
+        return set(ranked[:cutoff])
+
+    first, second = table.categories
+    k1 = top(first, top_l) - top(second, top_m)
+    k2 = top(second, top_l) - top(first, top_m)
+    k3 = set(table.vocabulary) - k1 - k2
+    return from_member_sets([k1, k2, k3], table.vocabulary, None)
+
+
+def reference_cluster_frequencies(table, clustering):
+    out = {}
+    for j, words in enumerate(clustering.clusters):
+        for category in table.categories:
+            out[(category, j)] = sum(table.count(category, w) for w in words)
+    return out
+
+
+def reference_distribute_frequencies(table, clustering):
+    rows = [{} for _ in range(clustering.m)]
+    for word, ids in clustering.assignments.items():
+        total = table.word_total(word)
+        if len(ids) == 1:
+            rows[ids[0]][word] = total
+            continue
+        weights = [table.count(clustering.related_categories[j], word) for j in ids]
+        denom = sum(weights)
+        for j, weight in zip(ids, weights):
+            share, rest = divmod(total * weight, denom)
+            rows[j][word] = Fraction(total * weight, denom) if rest else share
+    return rows
+
+
+def assert_same_clustering(clustering, reference):
+    assert clustering == reference
+    assert list(clustering.assignments.items()) == list(reference.assignments.items())
+    for ids in clustering.assignments.values():
+        assert all(type(j) is int for j in ids)
+
+
+def assert_same_values(actual, expected):
+    """``==`` in the same key order, and every value of the same type."""
+    assert list(actual.items()) == list(expected.items())
+    for key, value in actual.items():
+        assert type(value) is type(expected[key]), key
+
+
+# words that tie on count and differ only in case, in a non-ASCII
+# character or by a trailing character (NUL included, which a numpy
+# string array would drop)
+WORDS = ("a", "A", "ab", "a\x00", "\u00e9", "e\u0301", "ß", "ss", "z")
+POOL = st.lists(st.sampled_from(WORDS), max_size=12)
+GAMMAS = st.one_of(
+    st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 2 / 3, math.nextafter(1.0, 0.0))),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+# multi-label documents, unlabeled ones and empty bodies
+CORPUS_LINES = st.lists(
+    st.tuples(st.lists(st.sampled_from("abc"), max_size=3), POOL), max_size=8
+).map(lambda docs: [f"{','.join(labels)}\t{' '.join(body)}" for labels, body in docs])
+
+
+def _pool_table(pools):
+    return count_pools([(f"p{i}", tuple(tokens)) for i, tokens in enumerate(pools)])
+
+
+def _corpus_table(lines):
+    return count_frequencies(parse_corpus(lines, require_labels=False))
+
+
+class TestStagesMatchTheReference:
+    def check_threshold_stages(self, table, gamma):
+        clustering = soft_clusters(table, gamma)
+        assert_same_clustering(clustering, reference_soft_clusters(table, gamma))
+        assert_same_values(
+            cluster_frequencies(table, clustering),
+            reference_cluster_frequencies(table, clustering),
+        )
+        distributed = distribute_frequencies(table, clustering).cluster_words
+        for row, expected in zip(
+            distributed, reference_distribute_frequencies(table, clustering), strict=True
+        ):
+            assert_same_values(row, expected)
+
+    @given(st.lists(POOL, max_size=4), GAMMAS)
+    def test_pool_tables(self, pools, gamma):
+        self.check_threshold_stages(_pool_table(pools), gamma)
+
+    @given(CORPUS_LINES, GAMMAS)
+    def test_multi_label_tables(self, lines, gamma):
+        self.check_threshold_stages(_corpus_table(lines), gamma)
+
+    @given(POOL, POOL, st.integers(1, 10), st.integers(1, 10))
+    def test_rank_clusters(self, first, second, top_l, top_m):
+        table = _pool_table([first, second])
+        clustering = rank_clusters(table, top_l, top_m)
+        assert_same_clustering(clustering, reference_rank_clusters(table, top_l, top_m))
+        assert_same_values(
+            cluster_frequencies(table, clustering),
+            reference_cluster_frequencies(table, clustering),
+        )
+
+    @pytest.mark.parametrize("words", [WORDS, WORDS[::-1]], ids=["forward", "reversed"])
+    def test_rank_ties_follow_python_string_order(self, words):
+        # every word occurs once, so the order among them decides the cut
+        table = count_pools([("p", words), ("q", ("q",))])
+        for cutoff in range(1, len(words) + 1):
+            clustering = rank_clusters(table, cutoff, 1)
+            assert clustering.clusters[0] == frozenset(sorted(words)[:cutoff])
+
+    @pytest.mark.parametrize("gamma", [0.0, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            _corpus_table([]),
+            _corpus_table(["\tx y", "\t"]),
+            _pool_table([[], []]),
+            _pool_table([["x", "y", "x"], []]),
+            _pool_table([[], ["y"]]),
+        ],
+        ids=["empty-corpus", "unlabeled", "empty-pools", "empty-second", "empty-first"],
+    )
+    def test_degenerate_tables(self, table, gamma):
+        assert table.matrix.shape == (len(table.categories), len(table.vocabulary))
+        self.check_threshold_stages(table, gamma)
+        if len(table.categories) == 2:
+            clustering = rank_clusters(table, 1, 1)
+            assert_same_clustering(clustering, reference_rank_clusters(table, 1, 1))

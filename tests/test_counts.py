@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +75,25 @@ class TestCountPools:
         assert table.category_total("b") == 0
 
 
+class TestCountMatrix:
+    def test_degenerate_tables(self):
+        empty = count_frequencies(parse_corpus([]))
+        assert empty.matrix.shape == (0, 0)
+        unlabeled = count_frequencies(parse_corpus(["\tx y"], require_labels=False))
+        assert unlabeled.matrix.shape == (0, 2)
+        assert unlabeled.word_total("x") == 0
+        table = count_pools([("a", ("x", "x")), ("b", ())])
+        assert table.matrix.tolist() == [[2], [0]]
+        unknown = (table.count("b", "y"), table.word_total("y"), empty.word_total("y"))
+        assert unknown == (0, 0, 0)
+        assert all(type(value) is int for value in unknown)
+        assert type(table.category_total("b")) is int
+
+    def test_matrix_is_read_only(self, binary_table):
+        with pytest.raises(ValueError, match="read-only"):
+            binary_table.matrix[0, 0] = 99
+
+
 class TestClusterFrequencies:
     def test_threshold_fixture(self, binary_table):
         clustering = soft_clusters(binary_table, 0.5)
@@ -135,6 +155,15 @@ def assert_matches_reference(table, reference):
             count = table.count(category, word)
             assert type(count) is int
             assert count == cells[category].get(word, 0)
+    # the matrix holds the same cells, one row per category in order
+    assert table.matrix.dtype == np.int64
+    assert table.matrix.tolist() == [
+        [cells[category].get(word, 0) for word in vocabulary] for category in categories
+    ]
+    for word in vocabulary:
+        total = table.word_total(word)
+        assert type(total) is int
+        assert total == sum(row.get(word, 0) for row in cells.values())
 
 
 TOKENS = st.lists(st.sampled_from(("x", "y", "z", "w")), max_size=6)
