@@ -367,7 +367,7 @@ def cmd_clusters(cfg: dict) -> int:
             label += f" ({clustering.related_categories[j]})"
         ordered = [w for w in clustering.vocabulary if w in members]
         lines.append(f"{label}: {', '.join(ordered)}")
-    discarded = [w for w in clustering.vocabulary if w in clustering.discarded]
+    discarded = [w for w in clustering.vocabulary if w not in clustering.assignments]
     lines.append(f"discarded: {', '.join(discarded)}")
     _write_text(cfg["output"], "\n".join(lines) + "\n")
     return 0

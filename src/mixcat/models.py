@@ -98,11 +98,31 @@ class MixtureModel:
 
 @dataclass(frozen=True)
 class CosineModel:
-    """Raw per-side word frequencies over a shared vocabulary."""
+    """Raw per-side word frequencies over a shared vocabulary.
+
+    ``norms`` is computed on first use and then kept, so a model's sides
+    must not be mutated once it has scored a document.
+    """
 
     category: str
     positive: Mapping[str, float]
     negative: Mapping[str, float]
+
+    @functools.cached_property
+    def norms(self) -> tuple[float, float]:
+        """The Euclidean norms of the positive and the negative side.
+
+        Raises ValueError naming a side that is all zero, since no
+        document has a cosine with it.
+        """
+        # sides hold whole counts once trained, and a sum of squared whole
+        # counts is exact, so hypot gives what sqrt(p @ p) gives
+        sides = (self.positive, self.negative)
+        norms = tuple(math.hypot(*side.values()) for side in sides)
+        for name, norm in zip(("positive", "negative"), norms):
+            if not norm:
+                raise ValueError(f"cosine model side {name!r} is all zero")
+        return norms
 
 
 @dataclass(frozen=True)
@@ -392,17 +412,14 @@ def _score(model, pos, neg, evidence):
     ``pos`` and ``neg`` are ``sum c*a`` and ``sum c*b`` over the
     document's in-model counts ``c``.  Likelihood models: ``(pos - neg)
     / sum c``, the per-token log-likelihood ratio.  ``cos``: ``pos / (|c|
-    |p|) - neg / (|c| |n|)`` with ``p`` and ``n`` the full side vectors;
-    the evidence is then ``sum c*c``.  Evidence 0 means that no token of
-    the document is in the model.
+    |p|) - neg / (|c| |n|)`` with ``p`` and ``n`` the full side vectors,
+    whose norms the model keeps; the evidence is then ``sum c*c``.
+    Evidence 0 means that no token of the document is in the model.
     """
     if isinstance(model, CosineModel):
         norm = np.sqrt(evidence)
-        # sides hold whole counts once trained, and a sum of squared whole
-        # counts is exact, so hypot gives what sqrt(p @ p) gives
-        return pos / (norm * math.hypot(*model.positive.values())) - neg / (
-            norm * math.hypot(*model.negative.values())
-        )
+        positive, negative = model.norms
+        return pos / (norm * positive) - neg / (norm * negative)
     return (pos - neg) / evidence
 
 
@@ -422,7 +439,8 @@ def table_scores(model, table: DocTermTable) -> list[float | None]:
     """The normalized score of every document in ``table``.
 
     None marks a document that gave no evidence.  Each score equals the
-    one ``classify_document`` gives the document alone.
+    one ``classify_document`` gives the document alone, and a model it
+    refuses is refused here too.
     """
     terms, known = _word_terms(model, table.words)
     columns = table.columns
@@ -504,11 +522,14 @@ def classify_document(model, tokens: Sequence[str], epsilon: float) -> Decision:
     """Decide one document under any model kind; ``epsilon`` must be nonnegative.
 
     The score is the one ``decide`` or ``cosine_decide`` describes, and
-    None when no token of the document is in the model.
+    None when no token of the document is in the model.  A ``cos`` model
+    with an all-zero side raises ValueError, whatever the document.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     method_of(model)  # refuses an unknown model type, even for an empty document
+    if isinstance(model, CosineModel):
+        model.norms  # refuses an all-zero side, even for an empty document
     pos, neg, evidence = _document_sums(model, tokens)
     score = float(_score(model, pos, neg, evidence)) if evidence else None
     return Decision(threshold_outcome(score, epsilon), score)

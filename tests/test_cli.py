@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mixcat import classify_document, load_model
+from mixcat import Clustering, classify_document, load_model
 from mixcat.cli import main
 
 
@@ -422,6 +422,21 @@ class TestClusters:
             "k2 (~c1): goal, kick",
             "discarded: ball",
         ]
+
+    def test_discarded_words_are_listed_in_one_pass(self, sports_file, monkeypatch, capsys):
+        """The discarded line costs O(V): the derived set is built at most once."""
+        accesses = []
+        derived = Clustering.discarded
+
+        def counted(clustering):
+            accesses.append(clustering)
+            return derived.fget(clustering)
+
+        monkeypatch.setattr(Clustering, "discarded", property(counted))
+        code = main(["clusters", "--train", str(sports_file), "--gamma", "0.5"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "discarded: ball"
+        assert len(accesses) <= 1
 
     def test_rank_scheme_has_no_related_labels(self, tmp_path, sports_file, capsys):
         code = main([

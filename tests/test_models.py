@@ -1,8 +1,11 @@
 """Training, scoring, deciding, and persisting the four classifiers."""
 
 import copy
+import dataclasses
+import io
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -23,11 +26,13 @@ from mixcat import (
     method_of,
     parse_corpus,
     save_model,
+    sweep,
     train_cos,
     train_fmm,
     train_hcm,
     train_wbm,
 )
+from mixcat.models import doc_term_table, table_scores
 
 
 class TestWordModel:
@@ -298,6 +303,88 @@ class TestCosineModel:
         model = train_cos(sports_corpus, "c1")
         with pytest.raises(ValueError, match="nonnegative"):
             cosine_decide(model, ("goal",), -0.5)
+
+    def test_norms_are_the_side_norms(self, sports_corpus, tmp_path):
+        for category in sports_corpus.categories:
+            model = train_cos(sports_corpus, category)
+            path = tmp_path / f"{category}.json"
+            save_model(model, path)
+            expected = tuple(
+                math.sqrt(math.fsum(v * v for v in side.values()))
+                for side in (model.positive, model.negative)
+            )
+            assert model.norms == load_model(path).norms == expected
+
+    def test_norms_leave_equality_repr_and_file_unchanged(self, sports_corpus, tmp_path):
+        model, fresh = train_cos(sports_corpus, "c1"), train_cos(sports_corpus, "c1")
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        save_model(model, before)
+        repr_before = repr(model)
+        model.norms
+        save_model(model, after)
+        assert model == fresh and fresh == model
+        assert repr(model) == repr_before == repr(fresh)
+        assert after.read_text() == before.read_text()
+
+    def test_replace_gives_fresh_norms(self):
+        model = CosineModel("a", {"x": 3.0, "y": 4.0}, {"x": 1.0, "y": 0.0})
+        assert model.norms == (5.0, 1.0)
+        scaled = dataclasses.replace(model, positive={"x": 6.0, "y": 8.0})
+        assert scaled.norms == (10.0, 1.0)
+        assert model.norms == (5.0, 1.0)
+
+    @pytest.mark.parametrize("side", ["positive", "negative"])
+    def test_all_zero_side_refused_for_every_document(self, side):
+        """No document has a cosine with a zero vector, so the model is
+        refused whatever it is asked to score, and by every path alike."""
+        sides = {"positive": {"x": 1.0, "y": 1.0}, "negative": {"x": 1.0, "y": 1.0}}
+        sides[side] = {"x": 0.0, "y": 0.0}
+        model = CosineModel("a", **sides)
+        message = f"{side}' is all zero"
+        documents = [("x",), (), ("z",)]  # in the model, empty, unknown only
+        for document in documents:
+            with pytest.raises(ValueError, match=message):
+                classify_document(model, document, 0.0)
+            with pytest.raises(ValueError, match=message):
+                table_scores(model, doc_term_table([document]))
+        with pytest.raises(ValueError, match=message):
+            table_scores(model, doc_term_table(documents))
+        corpus = parse_corpus(io.StringIO("a\tx\nb\t\nb\tz\n"))
+        with pytest.raises(ValueError, match=message):
+            sweep([model], corpus)
+
+    def test_norms_computed_once_per_model(self, sports_corpus):
+        """Scoring reads each side's values once per model, not once per
+        document: a decision costs time in the document, not in V."""
+
+        class CountingSide(Mapping):
+            def __init__(self, side):
+                self.side, self.values_calls = side, 0
+
+            def __getitem__(self, word):
+                return self.side[word]
+
+            def __iter__(self):
+                return iter(self.side)
+
+            def __len__(self):
+                return len(self.side)
+
+            def values(self):
+                self.values_calls += 1
+                return self.side.values()
+
+        documents = [d.tokens for d in sports_corpus.documents] + [("kick",), ()]
+        documents = (documents * 9)[:50]
+        trained = train_cos(sports_corpus, "c1")
+        positive = CountingSide(trained.positive)
+        negative = CountingSide(trained.negative)
+        model = CosineModel("c1", positive, negative)
+        single = [classify_document(model, d, 0.0).score for d in documents]
+        batch = table_scores(model, doc_term_table(documents))
+        assert positive.values_calls <= 1
+        assert negative.values_calls <= 1
+        assert single == batch == table_scores(trained, doc_term_table(documents))
 
 
 class TestDispatch:
