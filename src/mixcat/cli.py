@@ -203,7 +203,8 @@ def _header(command: str, cfg: dict) -> str:
 
 def _read_corpus(path: str, stage_name: str, require_labels: bool = True):
     with _stage(stage_name):
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig: a leading byte-order mark is not part of the first label
+        with open(path, encoding="utf-8-sig") as handle:
             return parse_corpus(handle, require_labels=require_labels)
 
 

@@ -14,12 +14,14 @@ and are skipped during classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from mixcat.counts import FrequencyTable
+
+if TYPE_CHECKING:  # only an uneven split builds one; see distribute_frequencies
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -195,5 +197,9 @@ def distribute_frequencies(
             # assignment implies a positive count in the related category
             assert weight > 0, (word, j)
             share, rest = divmod(total * weight, denom)
-            rows[j][word] = Fraction(total * weight, denom) if rest else share
+            if rest:
+                from fractions import Fraction  # kept off the import path
+
+                share = Fraction(total * weight, denom)
+            rows[j][word] = share
     return DistributedFrequencies(tuple(rows))

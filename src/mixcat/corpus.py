@@ -64,26 +64,43 @@ def parse_corpus(source: Iterable[str], require_labels: bool = True) -> LabeledC
 
     Raises CorpusFormatError, naming the offending line, for a line
     without a TAB separator or with a malformed label list.
+
+    Within one corpus every distinct word is a single ``str`` object,
+    shared by all its occurrences, and documents whose label fields read
+    the same share one ``labels`` set.  Counting and scoring then find
+    equal words by identity, and a corpus holds each word once.
     """
     documents = []
     categories: dict[str, None] = {}  # an ordered set
+    words: dict[str, str] = {}
+    label_sets: dict[str, frozenset[str]] = {}  # by the text before the TAB
     for line_number, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
+        # a trailing newline ends up in the body, which split() drops
         head, sep, body = line.partition("\t")
         if not sep:
             raise CorpusFormatError(line_number, "missing TAB between labels and tokens")
-        labels: dict[str, None] = {}
-        if head.strip():
-            for raw in head.split(","):
-                label = raw.strip()
-                if not label:
-                    raise CorpusFormatError(line_number, f"empty label in {head!r}")
-                labels[label] = None
-        if require_labels and not labels:
-            raise CorpusFormatError(line_number, "document has no labels")
-        categories.update(labels)
-        documents.append(LabeledDocument(frozenset(labels), tuple(body.split())))
+        labels = label_sets.get(head)
+        if labels is None:
+            ordered = _parse_labels(head, line_number, require_labels)
+            categories.update(ordered)
+            labels = label_sets[head] = frozenset(ordered)
+        tokens = body.split()
+        documents.append(LabeledDocument(labels, tuple(map(words.setdefault, tokens, tokens))))
     return LabeledCorpus(tuple(documents), tuple(categories))
+
+
+def _parse_labels(head: str, line_number: int, require_labels: bool) -> dict[str, None]:
+    """The labels of one label field, in order, as the keys of a dict."""
+    labels: dict[str, None] = {}
+    if head.strip():
+        for raw in head.split(","):
+            label = raw.strip()
+            if not label:
+                raise CorpusFormatError(line_number, f"empty label in {head!r}")
+            labels[label] = None
+    if require_labels and not labels:
+        raise CorpusFormatError(line_number, "document has no labels")
+    return labels
 
 
 def serialize_corpus(corpus: LabeledCorpus) -> str:

@@ -678,3 +678,54 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert '"epsilon": 0.05' in out
         assert out.count("\n") >= 5  # header plus one line per document
+
+
+def _below_config(text):
+    """The lines after the ``# config`` header, which names the paths."""
+    lines = text.splitlines()
+    return lines[[line.startswith("# config ") for line in lines].index(True) + 1:]
+
+
+class TestByteOrderMark:
+    """A UTF-8 BOM at the start of a corpus file is not part of a label."""
+
+    @pytest.fixture
+    def files(self, tmp_path, sports_text):
+        paths = {}
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(prefix + sports_text, encoding="utf-8")
+            paths[f"{name}-input"] = tmp_path / f"{name}-input.txt"
+            paths[f"{name}-input"].write_text(
+                prefix + "\tkick goal goal ball\n\tracket ball\n", encoding="utf-8"
+            )
+        assert paths["bom"].read_bytes()[:3] == b"\xef\xbb\xbf"
+        return paths
+
+    def test_counts_ignore_the_mark(self, files, capsys):
+        outputs = {}
+        for name in ("plain", "bom"):
+            assert main(["counts", "--train", str(files[name])]) == 0
+            outputs[name] = _below_config(capsys.readouterr().out)
+        assert outputs["bom"] == outputs["plain"]
+        assert not any("\ufeff" in line for line in outputs["bom"])
+
+    @pytest.mark.parametrize("method", [["wbm"], ["fmm", "--gamma", "0.4"]])
+    def test_train_and_classify_ignore_the_mark(self, tmp_path, files, method):
+        models, decisions = {}, {}
+        for name in ("plain", "bom"):
+            model_path = tmp_path / f"{name}.json"
+            out_path = tmp_path / f"{name}.tsv"
+            assert main([
+                "train", "--train", str(files[name]), "--model", str(model_path),
+                "--category", "c1", "--method", *method,
+            ]) == 0
+            assert main([
+                "classify", "--model", str(model_path),
+                "--input", str(files[f"{name}-input"]), "--output", str(out_path),
+            ]) == 0
+            models[name] = _below_config(model_path.read_text(encoding="utf-8"))
+            decisions[name] = _below_config(out_path.read_text(encoding="utf-8"))
+        assert models["bom"] == models["plain"]
+        assert decisions["bom"] == decisions["plain"]
+        assert len(decisions["plain"]) == 2
