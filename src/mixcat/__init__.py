@@ -47,10 +47,8 @@ from mixcat.evaluation import (
     PRCurve,
     PrecisionRecall,
     break_even,
-    contingency,
     curve_from_scores,
     default_epsilon_grid,
-    micro_pr,
     pr_from_counts,
     score_documents,
     sweep,
@@ -64,7 +62,6 @@ from mixcat.models import (
     TrainingError,
     WordModel,
     classify_document,
-    cosine_decide,
     decide,
     doc_log_likelihood,
     load_model,
@@ -76,7 +73,7 @@ from mixcat.models import (
     train_wbm,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BreakEven",
@@ -103,8 +100,6 @@ __all__ = [
     "classify_document",
     "cluster_frequencies",
     "complement_corpus",
-    "contingency",
-    "cosine_decide",
     "count_frequencies",
     "count_pools",
     "curve_from_scores",
@@ -120,7 +115,6 @@ __all__ = [
     "load_model",
     "log_likelihood",
     "method_of",
-    "micro_pr",
     "mle_distribution",
     "mle_word_distribution",
     "parse_corpus",

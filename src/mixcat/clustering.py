@@ -49,10 +49,6 @@ class Clustering:
     def discarded(self) -> frozenset[str]:
         return frozenset(self.vocabulary).difference(self.assignments)
 
-    def clusters_of(self, word: str) -> tuple[int, ...]:
-        """Cluster indices holding ``word`` (empty if discarded or unknown)."""
-        return self.assignments.get(word, ())
-
     def is_hard(self) -> bool:
         """True when no word sits in more than one cluster."""
         return all(len(ids) == 1 for ids in self.assignments.values())
@@ -159,12 +155,6 @@ class DistributedFrequencies:
     """
 
     cluster_words: tuple[dict[str, int | Fraction], ...]
-
-    def word_freq(self, cluster: int, word: str) -> int | Fraction:
-        return self.cluster_words[cluster].get(word, 0)
-
-    def cluster_total(self, cluster: int) -> int | Fraction:
-        return sum(self.cluster_words[cluster].values())
 
 
 def distribute_frequencies(

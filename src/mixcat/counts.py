@@ -17,40 +17,21 @@ import numpy as np
 from mixcat.corpus import LabeledCorpus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyTable:
-    """Per-category word counts with derived marginals.
+    """Per-category word counts as one read-only int64 matrix.
 
-    The word marginal f(w) is defined as the sum of the per-category
-    cells, so a token occurrence in a document with k labels contributes
-    k to it.  This keeps every per-category share f(w|c)/f(w) a proper
-    fraction that sums to one over categories.
-
-    ``matrix`` holds the same counts as a read-only int64 array, one row
-    per category and one column per vocabulary word, for the stages
-    that work over the whole vocabulary at once.
+    ``matrix`` has one row per category and one column per vocabulary
+    word, in the order of ``categories`` and ``vocabulary``; it is the
+    only copy of the counts.  The word marginal f(w) is a column sum, so
+    a token occurrence in a document with k labels contributes k to it.
+    This keeps every per-category share f(w|c)/f(w) a proper fraction
+    that sums to one over categories.
     """
 
     categories: tuple[str, ...]
     vocabulary: tuple[str, ...]
-    matrix: np.ndarray = field(repr=False, compare=False)
-    _cells: dict[str, dict[str, int]] = field(repr=False)
-
-    def count(self, category: str, word: str) -> int:
-        """f(w|c): occurrences of ``word`` in documents labeled ``category``."""
-        return self._cells[category].get(word, 0)
-
-    def word_total(self, word: str) -> int:
-        """f(w): the word's count summed over categories."""
-        return sum(row.get(word, 0) for row in self._cells.values())
-
-    def category_total(self, category: str) -> int:
-        """f(c): all token occurrences attributed to ``category``."""
-        return sum(self._cells[category].values())
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        """Counts as plain nested dicts (category -> word -> count)."""
-        return {c: dict(row) for c, row in self._cells.items()}
+    matrix: np.ndarray = field(repr=False)
 
 
 def count_frequencies(corpus: LabeledCorpus) -> FrequencyTable:
@@ -85,13 +66,13 @@ def count_pools(pools: Sequence[tuple[str, Sequence[str]]]) -> FrequencyTable:
 
 
 def _table(cells: Mapping[str, Counter], vocabulary: tuple[str, ...]) -> FrequencyTable:
-    """The table of ``cells``, with its count matrix in vocabulary order."""
+    """The table of ``cells``: their counts in one matrix, in vocabulary order."""
     n = len(vocabulary)
     matrix = np.empty((len(cells), n), np.int64)
     for row, counts in zip(matrix, cells.values()):
         row[:] = np.fromiter(map(counts.get, vocabulary, repeat(0)), np.int64, n)
     matrix.setflags(write=False)
-    return FrequencyTable(tuple(cells), vocabulary, matrix, cells)
+    return FrequencyTable(tuple(cells), vocabulary, matrix)
 
 
 def cluster_frequencies(

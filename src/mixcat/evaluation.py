@@ -16,9 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from mixcat.corpus import LabeledCorpus
-from mixcat.models import Decision, doc_term_table, table_scores
-
-OUTCOMES = ("positive", "negative", "unclassified")
+from mixcat.models import doc_term_table, table_scores
 
 
 @dataclass(frozen=True)
@@ -27,10 +25,6 @@ class ContingencyCounts:
     fp: int = 0
     fn: int = 0
     tn: int = 0
-
-    @property
-    def pairs(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
 
 @dataclass(frozen=True)
@@ -48,69 +42,12 @@ class PrecisionRecall:
     recall_defined: bool = True
 
 
-def _outcome_of(decision) -> str:
-    outcome = decision.outcome if isinstance(decision, Decision) else decision
-    if outcome not in OUTCOMES:
-        raise ValueError(f"not a decision outcome: {outcome!r}")
-    return outcome
-
-
-def contingency(
-    decisions: Mapping,
-    gold: Mapping[object, frozenset | set],
-    categories: Sequence[str] | None = None,
-) -> ContingencyCounts:
-    """Pool decisions into one contingency table.
-
-    ``decisions`` maps (document id, category) to a Decision or a bare
-    outcome string; ``gold`` maps document ids to their true label
-    sets.  Every (document, category) pair must be decided, no more
-    and no fewer; unclassified counts as not claiming the category.
-    """
-    if categories is None:
-        categories = sorted({c for _, c in decisions})
-    known = set(categories)
-    for doc_id, category in decisions:
-        if doc_id not in gold:
-            raise ValueError(f"decision for unknown document {doc_id!r}")
-        if category not in known:
-            raise ValueError(f"decision for unknown category {category!r}")
-    expected = len(gold) * len(known)
-    if len(decisions) != expected:
-        raise ValueError(
-            f"need one decision per (document, category) pair: "
-            f"expected {expected}, got {len(decisions)}"
-        )
-    tp = fp = fn = tn = 0
-    for (doc_id, category), decision in decisions.items():
-        positive = _outcome_of(decision) == "positive"
-        relevant = category in gold[doc_id]
-        if positive and relevant:
-            tp += 1
-        elif positive:
-            fp += 1
-        elif relevant:
-            fn += 1
-        else:
-            tn += 1
-    return ContingencyCounts(tp, fp, fn, tn)
-
-
 def pr_from_counts(counts: ContingencyCounts) -> PrecisionRecall:
     claimed = counts.tp + counts.fp
     relevant = counts.tp + counts.fn
     precision = counts.tp / claimed if claimed else 1.0
     recall = counts.tp / relevant if relevant else 1.0
     return PrecisionRecall(precision, recall, claimed > 0, relevant > 0)
-
-
-def micro_pr(
-    decisions: Mapping,
-    gold: Mapping,
-    categories: Sequence[str] | None = None,
-) -> PrecisionRecall:
-    """Micro-averaged precision and recall of a decision set."""
-    return pr_from_counts(contingency(decisions, gold, categories))
 
 
 @dataclass(frozen=True)
@@ -200,7 +137,7 @@ def curve_from_scores(
     At threshold epsilon a pair is claimed when its score exceeds
     epsilon (``threshold_outcome``), so the claimed pairs are a suffix
     of the sorted scores: one sort gives every point, with the same
-    ratios as ``micro_pr`` of the thresholded decisions.
+    ratios as counting the thresholded pairs one by one.
     """
     grid = tuple(epsilon_grid)
     _validate_grid(grid)

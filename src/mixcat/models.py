@@ -154,9 +154,10 @@ def category_table(corpus: LabeledCorpus, category: str, positive_only: bool):
 def _pools(corpus: LabeledCorpus, category: str, positive_only: bool):
     """The training table; both of its rows need tokens."""
     table = category_table(corpus, category, positive_only)
-    if not table.category_total(category):
+    own, complement = table.matrix.sum(axis=1).tolist()
+    if not own:
         raise TrainingError(f"category {category!r} has no training tokens")
-    if not table.category_total(_COMPLEMENT_PREFIX + category):
+    if not complement:
         raise TrainingError(
             f"the complement of category {category!r} has no training tokens"
         )
@@ -507,23 +508,15 @@ def decide(
     return Decision(threshold_outcome(score, epsilon), score)
 
 
-def cosine_decide(model: CosineModel, tokens: Iterable[str], epsilon: float) -> Decision:
-    """Threshold the difference of cosine similarities.
-
-    The score is ``cos(d, positive) - cos(d, negative)`` with no size
-    normalization (cosine is already scale-free), thresholded exactly
-    like the likelihood rule.  A document sharing no words with the
-    training vocabulary has a zero vector and stays unclassified.
-    """
-    return classify_document(model, tokens, epsilon)
-
-
 def classify_document(model, tokens: Sequence[str], epsilon: float) -> Decision:
     """Decide one document under any model kind; ``epsilon`` must be nonnegative.
 
-    The score is the one ``decide`` or ``cosine_decide`` describes, and
-    None when no token of the document is in the model.  A ``cos`` model
-    with an all-zero side raises ValueError, whatever the document.
+    The score is the normalized log-likelihood ratio ``decide``
+    describes for the likelihood models, and ``cos(d, positive) -
+    cos(d, negative)`` for ``cos``, which is scale-free and so needs no
+    size normalization.  It is None, and the document unclassified, when
+    no token of the document is in the model.  A ``cos`` model with an
+    all-zero side raises ValueError, whatever the document.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")

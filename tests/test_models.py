@@ -18,7 +18,6 @@ from mixcat import (
     TrainingError,
     WordModel,
     classify_document,
-    cosine_decide,
     decide,
     doc_log_likelihood,
     from_member_sets,
@@ -275,34 +274,34 @@ class TestCosineModel:
 
     def test_fixture_decision(self, sports_corpus):
         model = train_cos(sports_corpus, "c1")
-        decision = cosine_decide(model, ("kick", "goal", "goal", "ball"), 0.0)
+        decision = classify_document(model, ("kick", "goal", "goal", "ball"), 0.0)
         expected = 4 / math.sqrt(6 * 26) - 10 / math.sqrt(6 * 17)
         assert decision.outcome == "negative"
         assert decision.score == pytest.approx(expected, rel=1e-12)
 
     def test_aligned_document_is_positive(self):
         model = CosineModel("a", {"x": 1.0, "y": 0.0}, {"x": 0.0, "y": 1.0})
-        decision = cosine_decide(model, ("x", "x"), 0.0)
+        decision = classify_document(model, ("x", "x"), 0.0)
         assert decision.outcome == "positive"
         assert decision.score == pytest.approx(1.0, rel=1e-12)
 
     def test_unknown_document_stays_unclassified(self):
         model = CosineModel("a", {"x": 1.0, "y": 0.0}, {"x": 0.0, "y": 1.0})
-        assert cosine_decide(model, ("z", "w"), 0.0) == Decision("unclassified", None)
+        assert classify_document(model, ("z", "w"), 0.0) == Decision("unclassified", None)
 
     def test_threshold_band(self):
         model = CosineModel("a", {"x": 1.0, "y": 1.0}, {"x": 0.0, "y": 1.0})
         # doc (x) has cos 1/sqrt(2) to positive, 0 to negative
         score = 1 / math.sqrt(2)
-        assert cosine_decide(model, ("x",), 0.8).outcome == "unclassified"
-        decision = cosine_decide(model, ("x",), 0.7)
+        assert classify_document(model, ("x",), 0.8).outcome == "unclassified"
+        decision = classify_document(model, ("x",), 0.7)
         assert decision.outcome == "positive"
         assert decision.score == pytest.approx(score, rel=1e-12)
 
     def test_epsilon_must_be_nonnegative(self, sports_corpus):
         model = train_cos(sports_corpus, "c1")
         with pytest.raises(ValueError, match="nonnegative"):
-            cosine_decide(model, ("goal",), -0.5)
+            classify_document(model, ("goal",), -0.5)
 
     def test_norms_are_the_side_norms(self, sports_corpus, tmp_path):
         for category in sports_corpus.categories:
