@@ -119,7 +119,10 @@ def _effective_config(args: argparse.Namespace) -> dict:
     if config_path:
         with _stage("reading the config file"):
             with open(config_path, encoding="utf-8") as handle:
-                file_values = json.load(handle)
+                try:
+                    file_values = json.load(handle)
+                except RecursionError:
+                    raise ValueError("the config file nests too deeply to read") from None
             if not isinstance(file_values, dict):
                 raise ValueError("config file must hold a JSON object")
             unknown = sorted(set(file_values) - set(options))

@@ -699,8 +699,11 @@ def load_model(path):
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     text = text[_HEADER.match(text).end() :]
-    # a cache per file: each distinct float literal is parsed once
-    payload = json.loads(text, parse_float=functools.cache(float))
+    try:
+        # a cache per file: each distinct float literal is parsed once
+        payload = json.loads(text, parse_float=functools.cache(float))
+    except RecursionError:
+        raise ValueError("the model file nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ValueError("a model file must hold a JSON object")
     version = payload.get("schema_version")

@@ -282,6 +282,17 @@ class TestClassify:
         assert "'positive'" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_model_is_reported_without_traceback(
+        self, tmp_path, sports_file, capsys
+    ):
+        model_path = tmp_path / "deep.json"
+        model_path.write_text("[" * 200_000, encoding="utf-8")
+        code = main(["classify", "--model", str(model_path), "--input", str(sports_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixcat: error while loading the model: ")
+        assert "nests too deeply" in err
+
     def test_missing_model_flag(self, sports_file, capsys):
         code = main(["classify", "--input", str(sports_file)])
         assert code == 1
@@ -641,6 +652,17 @@ class TestConfigFile:
         assert err.startswith(f"mixcat: error while reading the config file: {key}: ")
         assert "Traceback" not in err
         assert not model_path.exists()
+
+    def test_deeply_nested_config_is_reported_without_traceback(
+        self, tmp_path, sports_file, capsys
+    ):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text('{"a":' * 100_000, encoding="utf-8")
+        code = main(["counts", "--train", str(sports_file), "--config", str(config_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixcat: error while reading the config file: ")
+        assert "nests too deeply" in err
 
     def test_null_means_not_given(self, tmp_path, sports_file):
         config_path = tmp_path / "cfg.json"

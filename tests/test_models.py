@@ -760,6 +760,12 @@ class TestPersistence:
         path.write_text("# a header line\n# another\n" + path.read_text())
         assert load_model(path).positive == model.positive
 
+    def test_deeply_nested_file_is_a_value_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            load_model(path)
+
     def test_only_the_leading_comment_block_is_skipped(self, sports_corpus, tmp_path):
         path = tmp_path / "m.json"
         save_model(train_wbm(sports_corpus, "c1"), path)
