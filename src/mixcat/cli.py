@@ -152,6 +152,20 @@ def _require(cfg: dict, command: str, *keys: str) -> None:
             raise _invalid(f"{command} needs --{key.replace('_', '-')}")
 
 
+def _check_one_scheme(cfg: dict, who: str) -> None:
+    """Refuse no clustering scheme, both schemes, or half the rank scheme.
+
+    hcm training and ``clusters`` each need one scheme; ``who`` opens
+    the message that asks for it.
+    """
+    has_gamma = cfg["gamma"] is not None
+    has_rank = cfg["top_l"] is not None or cfg["top_m"] is not None
+    if has_gamma == has_rank:
+        raise _invalid(f"{who} exactly one scheme: --gamma, or --top-l with --top-m")
+    if has_rank and (cfg["top_l"] is None or cfg["top_m"] is None):
+        raise _invalid("the rank scheme needs both --top-l and --top-m")
+
+
 def _check_scheme_ranges(cfg: dict) -> None:
     """Refuse a share threshold outside [0, 1) and a rank cutoff below 1."""
     if cfg["gamma"] is not None and not 0.0 <= cfg["gamma"] < 1.0:
@@ -177,10 +191,7 @@ def _validate_training(cfg: dict) -> EmConfig | None:
             raise _invalid(f"clustering options do not apply to method {method!r}")
         return None
     if method == "hcm":
-        if has_gamma == has_rank:
-            raise _invalid("hcm needs exactly one scheme: --gamma, or --top-l with --top-m")
-        if has_rank and (cfg["top_l"] is None or cfg["top_m"] is None):
-            raise _invalid("the rank scheme needs both --top-l and --top-m")
+        _check_one_scheme(cfg, "hcm needs")
         if has_gamma and cfg["gamma"] < 0.5:
             raise _invalid(
                 f"gamma={cfg['gamma']} would allow overlapping clusters; "
@@ -341,12 +352,7 @@ def cmd_clusters(cfg: dict) -> int:
     if cfg["multilabel"] == "both" and cfg["category"] is None:
         # without a category, each row already holds every document carrying its label
         raise _invalid("--multilabel both applies only with --category")
-    has_gamma = cfg["gamma"] is not None
-    has_rank = cfg["top_l"] is not None or cfg["top_m"] is not None
-    if has_gamma == has_rank:
-        raise _invalid("choose exactly one scheme: --gamma, or --top-l with --top-m")
-    if has_rank and (cfg["top_l"] is None or cfg["top_m"] is None):
-        raise _invalid("the rank scheme needs both --top-l and --top-m")
+    _check_one_scheme(cfg, "choose")
     _check_scheme_ranges(cfg)
     corpus = _read_corpus(cfg["train"], "reading the training corpus")
     with _stage("clustering"):
@@ -360,7 +366,7 @@ def cmd_clusters(cfg: dict) -> int:
             )
         else:
             table = count_frequencies(corpus)
-        if has_gamma:
+        if cfg["gamma"] is not None:
             clustering = soft_clusters(table, cfg["gamma"])
         else:
             clustering = rank_clusters(table, cfg["top_l"], cfg["top_m"])

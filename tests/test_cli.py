@@ -146,6 +146,31 @@ class TestTrain:
         )
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "clusters"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "exactly one scheme: --gamma, or --top-l with --top-m"),
+            (["--gamma", "0.5", "--top-l", "3", "--top-m", "3"], "exactly one scheme"),
+            (["--top-l", "3"], "the rank scheme needs both --top-l and --top-m"),
+            (["--top-m", "3"], "the rank scheme needs both --top-l and --top-m"),
+        ],
+    )
+    def test_hcm_and_clusters_need_one_whole_scheme(
+        self, tmp_path, sports_file, capsys, command, flags, message
+    ):
+        if command == "train":
+            where = ["--model", str(tmp_path / "m.json"), "--category", "c1"]
+            where += ["--method", "hcm"]
+        else:
+            where = []
+        code = main([command, "--train", str(sports_file), *where, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixcat: error while validating the configuration: ")
+        assert message in err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestClassify:
     def _train(self, tmp_path, sports_file, category):
