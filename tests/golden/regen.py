@@ -114,7 +114,7 @@ def compare(expected: str, actual: str) -> tuple[list[str], int, int]:
     """
     problems = []
     floats = differing = 0
-    want_lines, got_lines = expected.splitlines(), actual.splitlines()
+    want_lines, got_lines = expected.split("\n"), actual.split("\n")
     if len(want_lines) != len(got_lines):
         problems.append(f"{len(got_lines)} lines, expected {len(want_lines)}")
     for number, (want, got) in enumerate(zip(want_lines, got_lines), start=1):
