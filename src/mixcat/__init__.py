@@ -11,7 +11,6 @@ from mixcat.clustering import (
     Clustering,
     DistributedFrequencies,
     distribute_frequencies,
-    from_member_sets,
     rank_clusters,
     soft_clusters,
 )
@@ -73,7 +72,7 @@ from mixcat.models import (
     train_wbm,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BreakEven",
@@ -110,7 +109,6 @@ __all__ = [
     "ele_distribution",
     "em_fit",
     "em_step",
-    "from_member_sets",
     "gradient",
     "load_model",
     "log_likelihood",

@@ -192,12 +192,12 @@ def _validate_training(cfg: dict) -> EmConfig | None:
         return None
     if method == "hcm":
         _check_one_scheme(cfg, "hcm needs")
+        _check_scheme_ranges(cfg)
         if has_gamma and cfg["gamma"] < 0.5:
             raise _invalid(
                 f"gamma={cfg['gamma']} would allow overlapping clusters; "
                 "hcm needs gamma >= 0.5"
             )
-        _check_scheme_ranges(cfg)
         return None
     if has_rank:
         raise _invalid("fmm clusters by threshold; --top-l/--top-m do not apply")

@@ -14,6 +14,7 @@ and are skipped during classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -51,28 +52,36 @@ class Clustering:
 
     def is_hard(self) -> bool:
         """True when no word sits in more than one cluster."""
-        return all(len(ids) == 1 for ids in self.assignments.values())
+        return max(map(len, self.assignments.values()), default=1) == 1
 
 
-def from_member_sets(clusters, vocabulary, related_categories) -> Clustering:
-    """Assemble a Clustering from explicit member sets.
+def from_member_matrix(member: np.ndarray, vocabulary, related_categories) -> Clustering:
+    """Assemble a Clustering from an m x V boolean member matrix.
 
-    Derives the assignment map; vocabulary words outside every cluster
-    are discarded, other members ignored.  Also the rebuild path for
-    persisted models.
+    Row j marks the words of ``vocabulary`` in cluster j; a word in no
+    row is discarded.  Every word with the same membership pattern
+    shares one index tuple.
     """
-    clusters = tuple(clusters)
-    ids: dict[str, tuple[int, ...]] = {}
-    for j, members in enumerate(clusters):
-        single = (j,)  # shared by every word found in cluster j alone
-        for word in members:
-            ids[word] = ids[word] + single if word in ids else single
-    return Clustering(
-        len(clusters),
-        tuple(vocabulary),
-        tuple(related_categories) if related_categories is not None else None,
-        {w: ids[w] for w in vocabulary if w in ids},
-    )
+    vocabulary = tuple(vocabulary)
+    if related_categories is not None:
+        related_categories = tuple(related_categories)
+    if not len(member):  # no row to pack into the keys below
+        return Clustering(0, vocabulary, related_categories, {})
+    # a word's pattern, packed into bytes, is its key; up to 64 clusters
+    # it is one integer, which np.unique sorts about three times faster
+    # than raw bytes
+    packed = np.packbits(member, axis=0).T
+    width = 8 * -(-packed.shape[1] // 8)
+    padded = np.zeros((len(packed), width), np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    keys = padded.view("<u8" if width == 8 else f"V{width}").ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    clusters = range(len(member))
+    shared = [tuple(compress(clusters, bits)) for bits in member[:, first].T.tolist()]
+    assigned = member.any(axis=0)
+    found = map(shared.__getitem__, which.ravel()[assigned].tolist())
+    assignments = dict(zip(compress(vocabulary, assigned.tolist()), found))
+    return Clustering(len(member), vocabulary, related_categories, assignments)
 
 
 def soft_clusters(table: FrequencyTable, gamma: float) -> Clustering:
@@ -85,25 +94,13 @@ def soft_clusters(table: FrequencyTable, gamma: float) -> Clustering:
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    if not table.categories:  # no row to pack into the keys below
-        return Clustering(0, table.vocabulary, (), {})
     cells = table.matrix
     # counts below 2**53 convert to float64 exactly and IEEE division is
     # correctly rounded, so each share equals Python's int / int; a word
     # with no occurrences gives 0/0, which joins nothing
     with np.errstate(divide="ignore", invalid="ignore"):
         member = (cells > 0) & (cells / cells.sum(axis=0) > gamma)
-    # one tuple per membership pattern, shared by every word that has it;
-    # a word's pattern, packed into bytes, is its key
-    packed = np.ascontiguousarray(np.packbits(member, axis=0).T)
-    keys = packed.view(f"V{packed.shape[1]}").ravel()
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    shared = [tuple(np.flatnonzero(member[:, i]).tolist()) for i in first.tolist()]
-    found = map(shared.__getitem__, which.tolist())
-    assignments = {word: ids for word, ids in zip(table.vocabulary, found) if ids}
-    return Clustering(
-        len(table.categories), table.vocabulary, table.categories, assignments
-    )
+    return from_member_matrix(member, table.vocabulary, table.categories)
 
 
 def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
@@ -139,10 +136,8 @@ def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
     in_k2 = np.zeros(n, bool)
     in_k2[top(1, top_l)] = True
     in_k2[top(0, top_m)] = False
-    # k3, k1, k2 and both, indexed by in_k1 + 2 * in_k2
-    shared = ((2,), (0,), (1,), (0, 1))
-    found = map(shared.__getitem__, (in_k1 + 2 * in_k2).tolist())
-    return Clustering(3, vocabulary, None, dict(zip(vocabulary, found)))
+    member = np.array((in_k1, in_k2, ~(in_k1 | in_k2)))
+    return from_member_matrix(member, vocabulary, None)
 
 
 @dataclass(frozen=True)

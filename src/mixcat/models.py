@@ -25,6 +25,7 @@ where well-formedness is enforced.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import json
 import math
@@ -33,7 +34,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -42,7 +43,7 @@ import numpy as np
 from mixcat.clustering import (
     Clustering,
     distribute_frequencies,
-    from_member_sets,
+    from_member_matrix,
     rank_clusters,
     soft_clusters,
 )
@@ -544,143 +545,182 @@ def method_of(model) -> str:
         raise TypeError(f"unknown model type: {type(model).__name__}") from None
 
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 # the CLI's header: ``#`` lines at the top of a model file
 _HEADER = re.compile(r"(?:#.*\n)*")
 
 
-def _clustering_payload(clustering: Clustering) -> dict:
-    return {
-        "vocabulary": list(clustering.vocabulary),
-        "related_categories": (
-            list(clustering.related_categories)
-            if clustering.related_categories is not None
-            else None
-        ),
-        "clusters": [
-            [w for w in clustering.vocabulary if w in members]
-            for members in clustering.clusters
-        ],
-    }
+def _base64(data: bytes) -> str:
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def _encode(values: Iterable[float]) -> str:
+    """Floats as the base64 text of their little-endian float64 bytes."""
+    return _base64(np.fromiter(values, "<f8").tobytes())
+
+
+def _member_matrix(clustering: Clustering) -> np.ndarray:
+    """The m x V membership bits of a clustering, over its vocabulary."""
+    found = list(map(clustering.assignments.get, clustering.vocabulary, repeat(())))
+    sizes = np.fromiter(map(len, found), np.intp, len(found))
+    rows = np.fromiter(chain.from_iterable(found), np.intp, sizes.sum())
+    member = np.zeros((clustering.m, len(found)), bool)
+    member[rows, np.repeat(np.arange(len(found)), sizes)] = True
+    return member
+
+
+def _cluster_values(dist: Mapping[str, float], members: list, j: int):
+    """A cluster's word probabilities, in the order of its members."""
+    if len(dist) != len(members) or not all(map(dist.__contains__, members)):
+        raise ValueError(
+            f"cluster_words[{j}] does not hold exactly the members of cluster {j}, "
+            "so the model file cannot store it"
+        )
+    return map(dist.__getitem__, members)
 
 
 def save_model(model, path) -> None:
-    """Write a model as a JSON document.
+    """Write a model as one line of JSON, in schema 2.
 
-    Floats are serialized at full round-trip precision, so a reloaded
-    model reproduces the original's decisions bit for bit.
+    The vocabulary is written once.  Every numeric vector is the base64
+    text of its little-endian float64 bytes, so a reloaded model
+    reproduces the original's decisions bit for bit; cluster membership
+    is one packed bit matrix.  A mixture model whose ``cluster_words[j]``
+    does not hold exactly the members of cluster j cannot be written and
+    raises ValueError; no trained model is one.
     """
     method = method_of(model)
     payload: dict = {
         "schema_version": _SCHEMA_VERSION,
         "method": method,
         "category": model.category,
+        "settings": dict(getattr(model, "settings", {})),
     }
     if method in ("wbm", "cos"):
         vocab = list(model.positive)
         payload["vocabulary"] = vocab
-        payload["positive"] = [model.positive[w] for w in vocab]
-        payload["negative"] = [model.negative[w] for w in vocab]
-        payload["settings"] = {}
-    elif method == "hcm":
-        payload["settings"] = dict(model.settings)
-        payload["clustering"] = _clustering_payload(model.clustering)
-        payload["positive"] = list(model.positive)
-        payload["negative"] = list(model.negative)
-    elif method == "fmm":
-        payload["settings"] = dict(model.settings)
-        payload["clustering"] = _clustering_payload(model.clustering)
-        payload["cluster_words"] = [
-            {w: dist[w] for w in model.clustering.vocabulary if w in dist}
-            for dist in model.cluster_words
-        ]
-        payload["positive_theta"] = list(model.positive_theta)
-        payload["negative_theta"] = list(model.negative_theta)
+        payload["positive"] = _encode(model.positive.values())
+        payload["negative"] = _encode(map(model.negative.__getitem__, vocab))
+    else:
+        clustering = model.clustering
+        member = _member_matrix(clustering)
+        related = clustering.related_categories
+        payload["vocabulary"] = list(clustering.vocabulary)
+        payload["clusters"] = clustering.m
+        payload["related_categories"] = None if related is None else list(related)
+        payload["members"] = _base64(np.packbits(member, axis=1).tobytes())
+        if method == "hcm":
+            payload["positive"] = _encode(model.positive)
+            payload["negative"] = _encode(model.negative)
+        else:
+            if len(model.cluster_words) != clustering.m:
+                raise ValueError(
+                    f"the model has {len(model.cluster_words)} cluster_words "
+                    f"for {clustering.m} clusters, so the model file cannot store it"
+                )
+            words = np.array(clustering.vocabulary, dtype=object)
+            payload["cluster_words"] = [
+                _encode(_cluster_values(dist, words[row].tolist(), j))
+                for j, (dist, row) in enumerate(zip(model.cluster_words, member))
+            ]
+            payload["positive_theta"] = _encode(model.positive_theta)
+            payload["negative_theta"] = _encode(model.negative_theta)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(payload, handle)
         handle.write("\n")
 
 
-# Load-time validation.  Every check is a single pass over its field,
-# so validating costs time linear in the size of the file.  Failures are
-# ValueErrors naming the field as a dotted path ("clustering.vocabulary").
+# Load-time validation.  Every check runs in numpy or in one pass at C
+# speed, so validating costs time linear in the size of the file.
+# Failures are ValueErrors naming the field ("cluster_words[1]").
 
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
-def _field(payload: dict, key: str, kind: type, name: str | None = None):
-    name = name or key
+def _field(payload: dict, key: str, kind: type):
     if key not in payload:
-        raise ValueError(f"model file has no {name!r} field")
+        raise ValueError(f"model file has no {key!r} field")
     value = payload[key]
     if not isinstance(value, kind):
-        raise ValueError(f"model field {name!r} must be {_TYPE_NAMES[kind]}")
+        raise ValueError(f"model field {key!r} must be {_TYPE_NAMES[kind]}")
     return value
 
 
-def _vector(payload: dict, key: str, length: int, per: str) -> list:
-    values = _field(payload, key, list)
-    if len(values) != length:
+def _words(words, name: str) -> tuple[str, ...]:
+    """A list of distinct strings, interned."""
+    if not isinstance(words, list) or not {str}.issuperset(map(type, words)):
+        raise ValueError(f"model field {name!r} must be a list of strings")
+    words = tuple(map(sys.intern, words))
+    if len(set(words)) != len(words):
+        raise ValueError(f"model field {name!r} has duplicate entries")
+    return words
+
+
+def _bytes(text, name: str) -> bytes:
+    """The bytes of a base64 string, which must be written as save_model writes it."""
+    if not isinstance(text, str):
+        raise ValueError(f"model field {name!r} must be a base64 string")
+    try:
+        data = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        data = None
+    # a2b_base64 skips characters outside the alphabet; encoding back
+    # refuses them
+    if data is None or _base64(data) != text:
+        raise ValueError(f"model field {name!r} is not valid base64")
+    return data
+
+
+def _floats(text, name: str, length: int, per: str) -> np.ndarray:
+    """A float64 vector with one finite, non-negative entry per ``per``."""
+    data = _bytes(text, name)
+    if len(data) != 8 * length:
         raise ValueError(
-            f"model field {key!r} has {len(values)} entries, "
+            f"model field {name!r} has {len(data) / 8:g} entries, "
             f"expected {length} (one per {per})"
         )
+    values = np.frombuffer(data, "<f8")
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise ValueError(f"model field {name!r} has negative or non-finite entries")
     return values
 
 
-def _word_set(words, name: str) -> set:
-    """The words of a list that must hold distinct strings."""
-    if not isinstance(words, list) or not {str}.issuperset(map(type, words)):
-        raise ValueError(f"model field {name!r} must be a list of strings")
-    distinct = set(words)
-    if len(distinct) != len(words):
-        raise ValueError(f"model field {name!r} has duplicate entries")
-    return distinct
-
-
-def _check_nonnegative(values, name: str) -> None:
-    if not {int, float}.issuperset(map(type, values)):
-        raise ValueError(f"model field {name!r} has a non-numeric entry")
-    try:
-        finite = all(map(math.isfinite, values))
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite or min(values, default=0) < 0:
-        raise ValueError(f"model field {name!r} has negative or non-finite entries")
-
-
-def _check_simplex(values, name: str) -> None:
-    _check_nonnegative(values, name)
-    if abs(sum(values) - 1.0) > 1e-9:
+def _distribution(text, name: str, length: int, per: str) -> np.ndarray:
+    values = _floats(text, name, length, per)
+    if abs(values.sum() - 1.0) > 1e-9:
         raise ValueError(f"model field {name!r} does not sum to 1")
+    return values
 
 
-def _clustering_from_payload(payload: dict) -> tuple[Clustering, list[set]]:
-    """The clustering, over interned words, and its member sets as read."""
-    section = _field(payload, "clustering", dict)
-    vocabulary = _field(section, "vocabulary", list, "clustering.vocabulary")
-    known = _word_set(vocabulary, "clustering.vocabulary")
-    clusters = _field(section, "clusters", list, "clustering.clusters")
-    members = []
-    for j, cluster in enumerate(clusters):
-        name = f"clustering.clusters[{j}]"
-        cluster = _word_set(cluster, name)
-        if not cluster <= known:
-            raise ValueError(f"model field {name!r} has words outside the vocabulary")
-        members.append(cluster)
-    if "related_categories" not in section:
-        raise ValueError("model file has no 'clustering.related_categories' field")
-    related = section["related_categories"]
-    if related is not None:
-        _word_set(related, "clustering.related_categories")
-        if len(related) != len(clusters):
-            raise ValueError(
-                "model field 'clustering.related_categories' needs one "
-                f"category per cluster: {len(related)} for {len(clusters)} clusters"
-            )
-    vocabulary = tuple(map(sys.intern, vocabulary))
-    return from_member_sets(members, vocabulary, related), members
+def _members(payload: dict, m: int, n: int) -> np.ndarray:
+    """The m x n boolean member matrix, from bits packed per row."""
+    data = _bytes(_field(payload, "members", str), "members")
+    width = (n + 7) // 8
+    if len(data) != m * width:
+        raise ValueError(
+            f"model field 'members' has {len(data)} bytes, expected {m} rows "
+            f"of {width} (one row per cluster, one bit per vocabulary word)"
+        )
+    bits = np.unpackbits(np.frombuffer(data, np.uint8).reshape(m, width), axis=1)
+    if bits[:, n:].any():
+        raise ValueError("model field 'members' has padding bits set")
+    return bits[:, :n].astype(bool)
+
+
+def _shared_floats(vectors: list[np.ndarray]) -> list[list[float]]:
+    """Each vector's values as floats, one float per distinct bit pattern.
+
+    Equal values share one object across all the vectors, so a model
+    holds as many floats as it has distinct values; comparing bits
+    keeps -0.0 apart from 0.0.
+    """
+    joined = np.concatenate(vectors)
+    distinct, which = np.unique(joined.view("<u8"), return_inverse=True)
+    floats = distinct.view("<f8").tolist()
+    values = list(map(floats.__getitem__, which.ravel().tolist()))
+    ends = list(accumulate(map(len, vectors)))
+    return [values[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def load_model(path):
@@ -688,86 +728,104 @@ def load_model(path):
 
     A block of lines starting with ``#`` at the top of the file (the
     CLI's configuration header) is skipped; ``#`` lines anywhere else
-    are a JSON error.  A malformed file raises ValueError naming the field at
-    fault: vectors must have one entry per word or cluster, word lists
-    must be free of duplicates, cluster members must come from the
-    vocabulary, and every distribution must sum to 1.
+    are a JSON error.  A file in another schema, or a malformed one,
+    raises ValueError naming the field at fault: word lists must be
+    free of duplicates, vectors must be valid base64 with one finite,
+    non-negative entry per word, cluster or cluster member, member bits
+    must fill one row per cluster, and every distribution must sum to 1.
 
     Words are interned, so the models loaded in one process share one
-    string per word, and each distinct float literal becomes one float.
+    string per word, and equal values in one file share one float.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     text = text[_HEADER.match(text).end() :]
     try:
-        # a cache per file: each distinct float literal is parsed once
-        payload = json.loads(text, parse_float=functools.cache(float))
+        payload = json.loads(text)
     except RecursionError:
         raise ValueError("the model file nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ValueError("a model file must hold a JSON object")
     version = payload.get("schema_version")
     if version != _SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version: {version!r}")
+        hint = " (written by mixcat < 0.3; retrain the model)" if version == 1 else ""
+        raise ValueError(f"unsupported model schema version: {version!r}{hint}")
     method = payload.get("method")
     category = _field(payload, "category", str)
     settings = payload.get("settings", {})
     if not isinstance(settings, dict):
         raise ValueError("model field 'settings' must be an object")
+    if method not in _METHOD_TAGS.values():
+        raise ValueError(f"unknown model method: {method!r}")
+    vocab = _words(_field(payload, "vocabulary", list), "vocabulary")
     if method in ("wbm", "cos"):
-        vocab = _field(payload, "vocabulary", list)
-        _word_set(vocab, "vocabulary")
-        vocab = tuple(map(sys.intern, vocab))
-        positive = _vector(payload, "positive", len(vocab), "vocabulary word")
-        negative = _vector(payload, "negative", len(vocab), "vocabulary word")
-        if method == "wbm":
-            _check_simplex(positive, "positive")
-            _check_simplex(negative, "negative")
-        else:
-            for name, side in (("positive", positive), ("negative", negative)):
-                _check_nonnegative(side, name)
-                if not any(side):
-                    raise ValueError(f"model field {name!r} is all zero")
-            positive, negative = map(float, positive), map(float, negative)
+        read = _distribution if method == "wbm" else _floats
+        sides = [
+            read(_field(payload, name, str), name, len(vocab), "vocabulary word")
+            for name in ("positive", "negative")
+        ]
+        for name, side in zip(("positive", "negative"), sides):
+            if method == "cos" and not side.any():
+                raise ValueError(f"model field {name!r} is all zero")
+        positive, negative = _shared_floats(sides)
         kind = WordModel if method == "wbm" else CosineModel
         return kind(category, dict(zip(vocab, positive)), dict(zip(vocab, negative)))
-    if method == "hcm":
-        clustering, _ = _clustering_from_payload(payload)
-        if not clustering.is_hard():
+    m = payload.get("clusters")
+    if type(m) is not int or m < 0:
+        raise ValueError("model field 'clusters' must be a non-negative integer")
+    if "related_categories" not in payload:
+        raise ValueError("model file has no 'related_categories' field")
+    related = payload["related_categories"]
+    if related is not None:
+        related = _words(related, "related_categories")
+        if len(related) != m:
             raise ValueError(
-                "model field 'clustering.clusters' overlaps; "
+                "model field 'related_categories' needs one category per "
+                f"cluster: {len(related)} for {m} clusters"
+            )
+    # fields sized by m come first, so a false m is caught before the
+    # member matrix is unpacked
+    if method == "hcm":
+        sides = [
+            _distribution(_field(payload, name, str), name, m, "cluster")
+            for name in ("positive", "negative")
+        ]
+        member = _members(payload, m, len(vocab))
+        if member.sum(axis=0).max(initial=0) > 1:
+            raise ValueError(
+                "model field 'members' overlaps; "
                 "a hard-cluster model needs disjoint clusters"
             )
-        positive = _vector(payload, "positive", clustering.m, "cluster")
-        negative = _vector(payload, "negative", clustering.m, "cluster")
-        _check_simplex(positive, "positive")
-        _check_simplex(negative, "negative")
-        return HardClusterModel(
-            category, clustering, tuple(positive), tuple(negative), settings
+        positive, negative = map(tuple, _shared_floats(sides))
+        clustering = from_member_matrix(member, vocab, related)
+        return HardClusterModel(category, clustering, positive, negative, settings)
+    encoded = _field(payload, "cluster_words", list)
+    if len(encoded) != m:
+        raise ValueError(
+            f"model field 'cluster_words' has {len(encoded)} entries, "
+            f"expected {m} (one per cluster)"
         )
-    if method == "fmm":
-        clustering, members = _clustering_from_payload(payload)
-        dists = _vector(payload, "cluster_words", clustering.m, "cluster")
-        for j, dist in enumerate(dists):
-            name = f"cluster_words[{j}]"
-            if not isinstance(dist, dict):
-                raise ValueError(f"model field {name!r} must be an object")
-            if not dist.keys() <= members[j]:
-                raise ValueError(
-                    f"model field {name!r} has words outside cluster {j}"
-                )
-            _check_simplex(dist.values(), name)
-            dists[j] = dict(zip(map(sys.intern, dist), dist.values()))
-        positive_theta = _vector(payload, "positive_theta", clustering.m, "cluster")
-        negative_theta = _vector(payload, "negative_theta", clustering.m, "cluster")
-        _check_simplex(positive_theta, "positive_theta")
-        _check_simplex(negative_theta, "negative_theta")
-        return MixtureModel(
-            category,
-            clustering,
-            tuple(dists),
-            tuple(positive_theta),
-            tuple(negative_theta),
-            settings,
-        )
-    raise ValueError(f"unknown model method: {method!r}")
+    thetas = [
+        _distribution(_field(payload, name, str), name, m, "cluster")
+        for name in ("positive_theta", "negative_theta")
+    ]
+    member = _members(payload, m, len(vocab))
+    sizes = member.sum(axis=1).tolist()
+    dists = [
+        _distribution(text, f"cluster_words[{j}]", size, f"member of cluster {j}")
+        for j, (text, size) in enumerate(zip(encoded, sizes))
+    ]
+    *values, positive_theta, negative_theta = _shared_floats([*dists, *thetas])
+    words = np.array(vocab, dtype=object)
+    cluster_words = tuple(
+        dict(zip(words[row].tolist(), probabilities))
+        for row, probabilities in zip(member, values)
+    )
+    return MixtureModel(
+        category,
+        from_member_matrix(member, vocab, related),
+        cluster_words,
+        tuple(positive_theta),
+        tuple(negative_theta),
+        settings,
+    )

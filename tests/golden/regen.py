@@ -23,14 +23,18 @@ generator, and are kept as text so that no test needs it::
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import io
+import json
 import math
 import os
 import re
 import shutil
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from mixcat.cli import main
 
@@ -105,13 +109,48 @@ def run_cases(directory: Path) -> dict[str, str]:
 FLOAT = re.compile(r"(?<![\w.])(-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))(?![\w.])")
 
 
+# the base64 float64 vectors of a model file; "members" holds bits and
+# is compared as text
+VECTORS = ("positive", "negative", "positive_theta", "negative_theta")
+
+
+def _floats(text: str) -> list[float]:
+    return np.frombuffer(binascii.a2b_base64(text), "<f8").tolist()
+
+
+def readable(text: str) -> str:
+    """``text`` with each model file line's vectors written as JSON floats.
+
+    A line that is not a model file's JSON object stays as it is.
+    """
+    lines = text.split("\n")
+    for number, line in enumerate(lines):
+        if not line.startswith("{"):
+            continue
+        try:
+            payload = json.loads(line)
+            if not isinstance(payload, dict) or "schema_version" not in payload:
+                continue
+            for key in VECTORS:
+                if key in payload:
+                    payload[key] = _floats(payload[key])
+            if "cluster_words" in payload:
+                payload["cluster_words"] = list(map(_floats, payload["cluster_words"]))
+        except (ValueError, TypeError):  # not a model file, or a broken one
+            continue
+        lines[number] = json.dumps(payload)
+    return "\n".join(lines)
+
+
 def compare(expected: str, actual: str) -> tuple[list[str], int, int]:
     """Where ``actual`` departs from ``expected``.
 
     Returns the problems found (any text outside a float that differs,
     or a float off by more than ``REL_TOL`` relative), the number of
-    floats compared, and how many of them differ at all.
+    floats compared, and how many of them differ at all.  The float64
+    vectors of model files are compared as floats, not as base64 text.
     """
+    expected, actual = readable(expected), readable(actual)
     problems = []
     floats = differing = 0
     want_lines, got_lines = expected.split("\n"), actual.split("\n")

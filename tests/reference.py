@@ -5,14 +5,21 @@ cell or one sum at a time, so the tests can state per-word facts
 without the library keeping a per-word view of its counts.
 ``contingency`` and ``micro_pr`` pool decisions one (document,
 category) pair at a time: the sweep's counts off one sort must agree
-with them.
+with them.  ``from_member_sets`` builds a ``Clustering`` one member at
+a time, the reference for ``from_member_matrix``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from mixcat import ContingencyCounts, Decision, PrecisionRecall, pr_from_counts
+from mixcat import (
+    Clustering,
+    ContingencyCounts,
+    Decision,
+    PrecisionRecall,
+    pr_from_counts,
+)
 
 OUTCOMES = ("positive", "negative", "unclassified")
 
@@ -61,6 +68,26 @@ def cluster_total(distributed, cluster: int):
 def clusters_of(clustering, word: str) -> tuple[int, ...]:
     """Cluster indices holding ``word`` (empty if discarded or unknown)."""
     return clustering.assignments.get(word, ())
+
+
+def from_member_sets(clusters, vocabulary, related_categories) -> Clustering:
+    """Assemble a Clustering from explicit member sets.
+
+    Derives the assignment map; vocabulary words outside every cluster
+    are discarded, other members ignored.
+    """
+    clusters = tuple(clusters)
+    ids: dict[str, tuple[int, ...]] = {}
+    for j, members in enumerate(clusters):
+        single = (j,)  # shared by every word found in cluster j alone
+        for word in members:
+            ids[word] = ids[word] + single if word in ids else single
+    return Clustering(
+        len(clusters),
+        tuple(vocabulary),
+        tuple(related_categories) if related_categories is not None else None,
+        {w: ids[w] for w in vocabulary if w in ids},
+    )
 
 
 def pairs(counts: ContingencyCounts) -> int:

@@ -29,7 +29,6 @@ from mixcat import (
     ele_distribution,
     em_fit,
     em_step,
-    from_member_sets,
     gradient,
     log_likelihood,
     mle_word_distribution,
@@ -41,6 +40,7 @@ from mixcat import (
     train_hcm,
     train_wbm,
 )
+from reference import from_member_sets
 
 LN2 = math.log(2.0)
 

@@ -19,6 +19,7 @@ MOVED = (
     (clustering.DistributedFrequencies, "word_freq"),
     (clustering.DistributedFrequencies, "cluster_total"),
     (clustering.Clustering, "clusters_of"),
+    (clustering, "from_member_sets"),
 )
 
 

@@ -172,6 +172,29 @@ class TestTrain:
         assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("gamma", ["-0.1", "1.0"])
+@pytest.mark.parametrize("command", [
+    ["train", "--method", "hcm"],
+    ["train", "--method", "fmm"],
+    ["eval", "--method", "hcm"],
+    ["clusters"],
+])
+def test_gamma_out_of_range_gets_the_range_message(
+    tmp_path, sports_file, capsys, command, gamma
+):
+    where = {
+        "train": ["--model", str(tmp_path / "m.json"), "--category", "c1"],
+        "eval": ["--test", str(sports_file)],
+        "clusters": [],
+    }[command[0]]
+    code = main([*command, "--train", str(sports_file), *where, "--gamma", gamma])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "mixcat: error while validating the configuration: "
+        f"gamma must be in [0, 1), got {float(gamma)}\n"
+    )
+
+
 class TestClassify:
     def _train(self, tmp_path, sports_file, category):
         model_path = tmp_path / f"{category}.json"
@@ -297,7 +320,7 @@ class TestClassify:
         ]) == 0
         lines = model_path.read_text(encoding="utf-8").splitlines()
         payload = json.loads("\n".join(x for x in lines if not x.startswith("#")))
-        payload["positive"] = payload["positive"][:-1]  # one cluster short
+        payload["positive"] = payload["positive"][:-1]  # cut base64
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
         code = main(["classify", "--model", str(model_path), "--input", str(sports_file)])
@@ -306,6 +329,21 @@ class TestClassify:
         assert err.startswith("mixcat: error while loading the model: ")
         assert "'positive'" in err
         assert "Traceback" not in err
+
+    def test_schema_1_model_asks_for_retraining(self, tmp_path, sports_file, capsys):
+        model_path = tmp_path / "old.json"
+        model_path.write_text(
+            '# mixcat train\n{"schema_version": 1, "method": "wbm", "category": "c1",'
+            ' "vocabulary": ["ball"], "positive": [1.0], "negative": [1.0],'
+            ' "settings": {}}\n',
+            encoding="utf-8",
+        )
+        code = main(["classify", "--model", str(model_path), "--input", str(sports_file)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "mixcat: error while loading the model: unsupported model schema "
+            "version: 1 (written by mixcat < 0.3; retrain the model)\n"
+        )
 
     def test_deeply_nested_model_is_reported_without_traceback(
         self, tmp_path, sports_file, capsys

@@ -13,12 +13,19 @@ from mixcat import (
     count_frequencies,
     count_pools,
     distribute_frequencies,
-    from_member_sets,
     parse_corpus,
     rank_clusters,
     soft_clusters,
 )
-from reference import cluster_total, clusters_of, count, word_freq, word_total
+from mixcat.clustering import from_member_matrix
+from reference import (
+    cluster_total,
+    clusters_of,
+    count,
+    from_member_sets,
+    word_freq,
+    word_total,
+)
 
 
 def _members(clustering):
@@ -250,6 +257,30 @@ class TestFromMemberSets:
             frozenset(),
             frozenset({"a", "b"}),
         )
+
+
+class TestFromMemberMatrix:
+    @given(
+        # past 64 clusters a membership pattern no longer fits one integer
+        rows=st.one_of(st.integers(0, 4), st.integers(63, 66)).flatmap(
+            lambda m: st.lists(st.lists(st.booleans(), min_size=m, max_size=m), max_size=12)
+        ),
+        related=st.booleans(),
+    )
+    def test_matches_the_member_set_reference(self, rows, related):
+        vocabulary = tuple(f"w{i}" for i in range(len(rows)))
+        m = len(rows[0]) if rows else 0
+        member = np.array(rows, dtype=bool).reshape(len(rows), m).T
+        categories = tuple(f"c{j}" for j in range(m)) if related else None
+        clusters = [{w for w, bit in zip(vocabulary, row) if bit} for row in member]
+        built = from_member_matrix(member, vocabulary, categories)
+        expected = from_member_sets(clusters, vocabulary, categories)
+        assert built == expected
+        assert list(built.assignments) == list(expected.assignments)
+        # words with one membership pattern share one index tuple
+        by_pattern = {}
+        for ids in built.assignments.values():
+            assert by_pattern.setdefault(ids, ids) is ids
 
 
 # The per-word loops the stages ran before they worked over the count

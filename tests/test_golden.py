@@ -2,10 +2,15 @@
 
 The cases, the corpora and the expected outputs live in ``tests/golden``;
 ``tests/golden/regen.py`` rewrites them after an intended change.  Text
-outside floats must match exactly and floats within a relative 1e-12;
-each case also prints how many of its floats differ at all.
+outside floats must match exactly and floats within a relative 1e-12,
+the base64 vectors of model files included; each case also prints how
+many of its floats differ at all.
 """
 
+import binascii
+import json
+
+import numpy as np
 import pytest
 
 from golden.regen import CASES, CORPORA, HERE, compare, run_cases
@@ -30,3 +35,26 @@ def test_output_matches_golden(outputs, name):
     problems, floats, differing = compare(expected, outputs[name])
     print(f"{name}: {differing} of {floats} floats differ")
     assert not problems, f"{name} ({differing} of {floats} floats differ): {problems[:5]}"
+
+
+@pytest.mark.parametrize(("change", "differing", "fails"), [
+    (lambda bits: bits ^ np.uint64(1), 1, False),  # the last bit of the mantissa
+    (lambda bits: (bits.view("<f8") * (1 + 1e-11)).view("<u8"), 1, True),
+])
+def test_model_vectors_compare_as_floats(change, differing, fails):
+    """A model file's base64 vectors compare within the float tolerance."""
+    text = (HERE / "train-fmm-0.4-both.json").read_text(encoding="utf-8")
+    *header, line, end = text.split("\n")
+    payload = json.loads(line)
+    values = np.frombuffer(binascii.a2b_base64(payload["positive_theta"]), "<f8")
+    bits = values.view("<u8").copy()
+    bits[values.argmax()] = change(bits[values.argmax()])
+    payload["positive_theta"] = binascii.b2a_base64(
+        bits.tobytes(), newline=False
+    ).decode("ascii")
+    edited = "\n".join([*header, json.dumps(payload), end])
+    assert edited != text
+    problems, floats, found = compare(text, edited)
+    assert found == differing
+    assert floats > len(values)
+    assert bool(problems) is fails

@@ -4,11 +4,15 @@ import copy
 import dataclasses
 import io
 import json
+import binascii
 import math
 from collections.abc import Mapping
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixcat import (
     CosineModel,
@@ -20,7 +24,6 @@ from mixcat import (
     classify_document,
     decide,
     doc_log_likelihood,
-    from_member_sets,
     load_model,
     method_of,
     parse_corpus,
@@ -32,6 +35,7 @@ from mixcat import (
     train_wbm,
 )
 from mixcat.models import doc_term_table, table_scores
+from reference import from_member_sets
 
 
 class TestWordModel:
@@ -436,33 +440,43 @@ class TestDispatch:
 
 _DROP = object()  # marks a field to delete from a payload
 
+
+def _b64(values) -> str:
+    """Floats as save_model writes them: base64 of little-endian float64."""
+    data = np.asarray(values, dtype="<f8").tobytes()
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def _bits(rows) -> str:
+    """A member matrix as save_model writes it: bits packed per row."""
+    packed = np.packbits(np.array(rows, dtype=bool), axis=1)
+    return binascii.b2a_base64(packed.tobytes(), newline=False).decode("ascii")
+
+
 _VALID_PAYLOADS = {
     "wbm": {
-        "schema_version": 1, "method": "wbm", "category": "a", "settings": {},
-        "vocabulary": ["x", "y"], "positive": [0.5, 0.5], "negative": [0.25, 0.75],
+        "schema_version": 2, "method": "wbm", "category": "a", "settings": {},
+        "vocabulary": ["x", "y"],
+        "positive": _b64([0.5, 0.5]), "negative": _b64([0.25, 0.75]),
     },
     "hcm": {
-        "schema_version": 1, "method": "hcm", "category": "a", "settings": {},
-        "clustering": {
-            "vocabulary": ["x", "y", "z"],
-            "related_categories": None,
-            "clusters": [["x"], ["y", "z"]],
-        },
-        "positive": [0.5, 0.5], "negative": [0.25, 0.75],
+        "schema_version": 2, "method": "hcm", "category": "a", "settings": {},
+        "vocabulary": ["x", "y", "z"], "clusters": 2, "related_categories": None,
+        "members": _bits([[1, 0, 0], [0, 1, 1]]),
+        "positive": _b64([0.5, 0.5]), "negative": _b64([0.25, 0.75]),
     },
     "fmm": {
-        "schema_version": 1, "method": "fmm", "category": "a", "settings": {},
-        "clustering": {
-            "vocabulary": ["x", "y", "z"],
-            "related_categories": ["a", "~a"],
-            "clusters": [["x", "y"], ["y", "z"]],
-        },
-        "cluster_words": [{"x": 0.5, "y": 0.5}, {"y": 0.5, "z": 0.5}],
-        "positive_theta": [0.5, 0.5], "negative_theta": [0.25, 0.75],
+        "schema_version": 2, "method": "fmm", "category": "a", "settings": {},
+        "vocabulary": ["x", "y", "z"], "clusters": 2,
+        "related_categories": ["a", "~a"],
+        "members": _bits([[1, 1, 0], [0, 1, 1]]),
+        "cluster_words": [_b64([0.5, 0.5]), _b64([0.5, 0.5])],
+        "positive_theta": _b64([0.5, 0.5]), "negative_theta": _b64([0.25, 0.75]),
     },
     "cos": {
-        "schema_version": 1, "method": "cos", "category": "a", "settings": {},
-        "vocabulary": ["x", "y"], "positive": [1.0, 0.0], "negative": [0.0, 2.0],
+        "schema_version": 2, "method": "cos", "category": "a", "settings": {},
+        "vocabulary": ["x", "y"],
+        "positive": _b64([1.0, 0.0]), "negative": _b64([0.0, 2.0]),
     },
 }
 
@@ -472,120 +486,193 @@ _MALFORMED = [  # (id, base payload, path to the field, new value, error)
     ("wbm-no-category", "wbm", ("category",), _DROP, "no 'category' field"),
     ("wbm-category-type", "wbm", ("category",), 5, "'category' must be a string"),
     ("wbm-settings-type", "wbm", ("settings",), [], "'settings' must be an object"),
+    ("wbm-no-method", "wbm", ("method",), _DROP, "unknown model method: None"),
+    # word lists: all strings, no duplicates
+    ("wbm-no-vocabulary", "wbm", ("vocabulary",), _DROP, "no 'vocabulary' field"),
     ("wbm-vocabulary-type", "wbm", ("vocabulary",), "xy",
      "'vocabulary' must be a list"),
     ("wbm-vocabulary-entries", "wbm", ("vocabulary",), [1, "y"],
      "'vocabulary' must be a list of strings"),
     ("wbm-vocabulary-duplicates", "wbm", ("vocabulary",), ["x", "x"],
      "'vocabulary' has duplicate"),
-    ("wbm-positive-short", "wbm", ("positive",), [1.0],
-     "'positive' has 1 entries, expected 2"),
-    ("wbm-negative-long", "wbm", ("negative",), [0.25, 0.25, 0.5],
-     "'negative' has 3 entries"),
-    ("wbm-positive-strings", "wbm", ("positive",), ["0.5", "0.5"],
-     "'positive' has a non-numeric"),
-    ("wbm-positive-overflow", "wbm", ("positive",), [10**400, 0.5],
+    ("hcm-vocabulary-duplicates", "hcm", ("vocabulary",), ["x", "y", "y"],
+     "'vocabulary' has duplicate"),
+    # related_categories: no duplicates, one per cluster
+    ("hcm-no-related-categories", "hcm", ("related_categories",), _DROP,
+     "no 'related_categories' field"),
+    ("fmm-related-categories-entries", "fmm", ("related_categories",), ["a", 2],
+     "'related_categories' must be a list of strings"),
+    ("fmm-related-categories-duplicates", "fmm", ("related_categories",), ["a", "a"],
+     "'related_categories' has duplicate"),
+    ("fmm-related-categories-short", "fmm", ("related_categories",), ["a"],
+     "'related_categories' needs one category per cluster: 1 for 2 clusters"),
+    ("hcm-no-clusters", "hcm", ("clusters",), _DROP,
+     "'clusters' must be a non-negative integer"),
+    ("hcm-clusters-type", "hcm", ("clusters",), "2",
+     "'clusters' must be a non-negative integer"),
+    ("hcm-clusters-bool", "hcm", ("clusters",), True,
+     "'clusters' must be a non-negative integer"),
+    ("hcm-clusters-negative", "hcm", ("clusters",), -1,
+     "'clusters' must be a non-negative integer"),
+    # vectors: valid base64
+    ("wbm-no-positive", "wbm", ("positive",), _DROP, "no 'positive' field"),
+    ("wbm-positive-list", "wbm", ("positive",), [0.5, 0.5],
+     "'positive' must be a string"),
+    ("wbm-positive-not-base64", "wbm", ("positive",), "not base64",
+     "'positive' is not valid base64"),
+    ("wbm-positive-padding", "wbm", ("positive",), _b64([0.5, 0.5])[:-1],
+     "'positive' is not valid base64"),
+    ("wbm-positive-stray-character", "wbm", ("positive",),
+     "!" + _b64([0.5, 0.5]), "'positive' is not valid base64"),
+    ("wbm-positive-non-ascii", "wbm", ("positive",), "\u00e9" + _b64([0.5, 0.5]),
+     "'positive' is not valid base64"),
+    ("fmm-cluster-words-entry-type", "fmm", ("cluster_words", 0), [0.5, 0.5],
+     r"'cluster_words\[0\]' must be a base64 string"),
+    ("hcm-members-not-base64", "hcm", ("members",), "4A",
+     "'members' is not valid base64"),
+    # vectors: one entry per word, per cluster, or per member of cluster j
+    ("wbm-positive-short", "wbm", ("positive",), _b64([1.0]),
+     r"'positive' has 1 entries, expected 2 \(one per vocabulary word\)"),
+    ("wbm-negative-long", "wbm", ("negative",), _b64([0.25, 0.25, 0.5]),
+     "'negative' has 3 entries, expected 2"),
+    ("wbm-positive-partial-float", "wbm", ("positive",),
+     _b64([0.5, 0.5])[:16], "'positive' has 1.5 entries, expected 2"),
+    ("cos-negative-short", "cos", ("negative",), _b64([2.0]),
+     "'negative' has 1 entries, expected 2"),
+    ("hcm-positive-short", "hcm", ("positive",), _b64([1.0]),
+     r"'positive' has 1 entries, expected 2 \(one per cluster\)"),
+    ("hcm-negative-long", "hcm", ("negative",), _b64([0.2, 0.3, 0.5]),
+     "'negative' has 3 entries, expected 2"),
+    ("fmm-cluster-words-type", "fmm", ("cluster_words",), _b64([0.5, 0.5]),
+     "'cluster_words' must be a list"),
+    ("fmm-cluster-words-short", "fmm", ("cluster_words",), [_b64([0.5, 0.5])],
+     r"'cluster_words' has 1 entries, expected 2 \(one per cluster\)"),
+    ("fmm-cluster-words-member-count", "fmm", ("cluster_words", 1),
+     _b64([0.25, 0.25, 0.5]),
+     r"'cluster_words\[1\]' has 3 entries, expected 2 \(one per member of cluster 1\)"),
+    ("fmm-positive-theta-short", "fmm", ("positive_theta",), _b64([1.0]),
+     "'positive_theta' has 1 entries, expected 2"),
+    ("fmm-negative-theta-long", "fmm", ("negative_theta",), _b64([0.2, 0.3, 0.5]),
+     "'negative_theta' has 3 entries, expected 2"),
+    # values: finite and non-negative
+    ("wbm-positive-negative", "wbm", ("positive",), _b64([1.3, -0.3]),
      "'positive' has negative or non-finite entries"),
-    ("hcm-no-clustering", "hcm", ("clustering",), _DROP, "no 'clustering' field"),
-    ("hcm-positive-short", "hcm", ("positive",), [1.0],
-     r"'positive' has 1 entries, .* per cluster"),
-    ("hcm-negative-long", "hcm", ("negative",), [0.2, 0.3, 0.5],
-     "'negative' has 3 entries"),
-    ("hcm-vocabulary-duplicates", "hcm", ("clustering", "vocabulary"), ["x", "y", "y"],
-     "'clustering.vocabulary' has duplicate"),
-    ("hcm-member-outside-vocabulary", "hcm", ("clustering", "clusters"),
-     [["x"], ["y", "w"]],
-     r"'clustering.clusters\[1\]' has words outside the vocabulary"),
-    ("hcm-cluster-type", "hcm", ("clustering", "clusters"), [["x"], "yz"],
-     r"'clustering.clusters\[1\]' must be a list of strings"),
-    ("hcm-overlapping-clusters", "hcm", ("clustering", "clusters"),
-     [["x", "y"], ["y", "z"]], "overlaps"),
-    ("hcm-no-related-categories", "hcm", ("clustering", "related_categories"), _DROP,
-     "no 'clustering.related_categories' field"),
-    ("fmm-related-categories-short", "fmm", ("clustering", "related_categories"),
-     ["a"], "one category per cluster"),
-    ("fmm-positive-theta-short", "fmm", ("positive_theta",), [1.0],
-     "'positive_theta' has 1 entries"),
-    ("fmm-negative-theta-long", "fmm", ("negative_theta",), [0.2, 0.3, 0.5],
-     "'negative_theta' has 3 entries"),
-    ("fmm-cluster-words-short", "fmm", ("cluster_words",), [{"x": 0.5, "y": 0.5}],
-     "'cluster_words' has 1 entries"),
-    ("fmm-cluster-words-type", "fmm", ("cluster_words", 0), [0.5, 0.5],
-     r"'cluster_words\[0\]' must be an object"),
-    ("fmm-cluster-words-outside-cluster", "fmm", ("cluster_words", 0),
-     {"x": 0.5, "z": 0.5}, "outside cluster 0"),
-    ("fmm-cluster-words-sum", "fmm", ("cluster_words", 1), {"y": 0.5, "z": 0.6},
+    ("wbm-positive-nan", "wbm", ("positive",), _b64([math.nan, 1.0]),
+     "'positive' has negative or non-finite entries"),
+    ("cos-positive-infinite", "cos", ("positive",), _b64([math.inf, 1.0]),
+     "'positive' has negative or non-finite entries"),
+    ("hcm-negative-negative", "hcm", ("negative",), _b64([-0.5, 1.5]),
+     "'negative' has negative or non-finite entries"),
+    ("fmm-cluster-words-nan", "fmm", ("cluster_words", 0), _b64([math.nan, 0.5]),
+     r"'cluster_words\[0\]' has negative or non-finite entries"),
+    # distributions: sum to 1 within 1e-9
+    ("wbm-positive-sum", "wbm", ("positive",), _b64([0.9, 0.3]),
+     "'positive' does not sum to 1"),
+    ("hcm-positive-sum", "hcm", ("positive",), _b64([0.5, 0.5 + 1e-8]),
+     "'positive' does not sum to 1"),
+    ("fmm-cluster-words-sum", "fmm", ("cluster_words", 1), _b64([0.5, 0.6]),
      r"'cluster_words\[1\]' does not sum to 1"),
-    ("cos-negative-short", "cos", ("negative",), [2.0], "'negative' has 1 entries"),
-    ("cos-positive-null", "cos", ("positive",), [1.0, None],
-     "'positive' has a non-numeric"),
+    ("fmm-negative-theta-sum", "fmm", ("negative_theta",), _b64([0.25, 0.25]),
+     "'negative_theta' does not sum to 1"),
+    # members: exactly m rows, zero padding, disjoint for hcm
+    ("hcm-no-members", "hcm", ("members",), _DROP, "no 'members' field"),
+    ("hcm-members-rows", "hcm", ("members",), _bits([[1, 0, 0]]),
+     "'members' has 1 bytes, expected 2 rows of 1"),
+    ("fmm-members-rows", "fmm", ("members",), _bits([[1, 1, 0]] * 3),
+     "'members' has 3 bytes, expected 2 rows of 1"),
+    ("hcm-members-padding", "hcm", ("members",), _bits([[1, 0, 0, 1], [0, 1, 1, 0]]),
+     "'members' has padding bits set"),
+    ("hcm-overlapping-members", "hcm", ("members",), _bits([[1, 1, 0], [0, 1, 1]]),
+     "'members' overlaps"),
+    # a cos side that is all zero
+    ("cos-positive-zero", "cos", ("positive",), _b64([0.0, 0.0]),
+     "'positive' is all zero"),
+    ("cos-negative-zero", "cos", ("negative",), _b64([0.0, -0.0]),
+     "'negative' is all zero"),
 ]
 
 
 # save_model's exact text for the sports fixture's c1 models
-_SAVED_WBM = """{
+_SAVED_WBM = (
+    '{"schema_version": 2, "method": "wbm", "category": "c1", "settings": {}, '
+    '"vocabulary": ["racket", "stroke", "shot", "ball", "goal", "kick"], '
+    '"positive": "dmIndmIn1j+e2Imd2Im9P9mJndiJncg/2Ymd2ImdyD+e2Imd2Im9PxQ7sRM7saM/", '
+    '"negative": "mpmZmZmZqT+amZmZmZmpP5qZmZmZmak/AAAAAAAA0D9mZmZmZmbWPwAAAAAAANA/"}\n'
+)
+
+_SAVED_COS = (
+    '{"schema_version": 2, "method": "cos", "category": "c1", "settings": {}, '
+    '"vocabulary": ["racket", "stroke", "shot", "ball", "goal", "kick"], '
+    '"positive": "AAAAAAAAEEAAAAAAAADwPwAAAAAAAABAAAAAAAAAAEAAAAAAAADwPwAAAAAAAAAA", '
+    '"negative": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEAAAAAAAAAIQAAAAAAAAABA"}\n'
+)
+
+# the floats those vectors hold, as the JSON literals schema 1 wrote
+_SAVED_VALUES = {
+    "wbm": (
+        [0.34615384615384615, 0.11538461538461539, 0.19230769230769232,
+         0.19230769230769232, 0.11538461538461539, 0.038461538461538464],
+        [0.05, 0.05, 0.05, 0.25, 0.35, 0.25],
+    ),
+    "cos": ([4.0, 1.0, 2.0, 2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 2.0, 3.0, 2.0]),
+}
+
+
+# a model file as mixcat < 0.3 wrote it
+_SCHEMA_1_WBM = """{
   "schema_version": 1,
   "method": "wbm",
-  "category": "c1",
-  "vocabulary": [
-    "racket",
-    "stroke",
-    "shot",
-    "ball",
-    "goal",
-    "kick"
-  ],
-  "positive": [
-    0.34615384615384615,
-    0.11538461538461539,
-    0.19230769230769232,
-    0.19230769230769232,
-    0.11538461538461539,
-    0.038461538461538464
-  ],
-  "negative": [
-    0.05,
-    0.05,
-    0.05,
-    0.25,
-    0.35,
-    0.25
-  ],
+  "category": "a",
+  "vocabulary": ["x", "y"],
+  "positive": [0.5, 0.5],
+  "negative": [0.25, 0.75],
   "settings": {}
 }
 """
 
-_SAVED_COS = """{
-  "schema_version": 1,
-  "method": "cos",
-  "category": "c1",
-  "vocabulary": [
-    "racket",
-    "stroke",
-    "shot",
-    "ball",
-    "goal",
-    "kick"
-  ],
-  "positive": [
-    4.0,
-    1.0,
-    2.0,
-    2.0,
-    1.0,
-    0.0
-  ],
-  "negative": [
-    0.0,
-    0.0,
-    0.0,
-    2.0,
-    3.0,
-    2.0
-  ],
-  "settings": {}
+_ROUND_TRIP_TRAINERS = {
+    "wbm": train_wbm,
+    "hcm-threshold": lambda corpus, c, rule: train_hcm(
+        corpus, c, gamma=0.5, positive_only=rule
+    ),
+    "hcm-rank": lambda corpus, c, rule: train_hcm(
+        corpus, c, top_l=2, top_m=3, positive_only=rule
+    ),
+    "fmm": lambda corpus, c, rule: train_fmm(corpus, c, 0.3, positive_only=rule),
+    "cos": train_cos,
 }
-"""
+
+_ROUND_TRIP_DOCS = st.lists(
+    st.tuples(
+        st.sets(st.sampled_from("abc"), min_size=1, max_size=2),
+        st.lists(st.sampled_from(["w0", "w1", "w2", "w3", "w4", "w5"]), max_size=8),
+    ),
+    min_size=2,
+    max_size=10,
+)
+
+
+@pytest.mark.parametrize("method", sorted(_ROUND_TRIP_TRAINERS))
+@given(documents=_ROUND_TRIP_DOCS, positive_only=st.booleans())
+def test_reloaded_models_equal_the_saved_ones(
+    tmp_path_factory, method, documents, positive_only
+):
+    corpus = parse_corpus(
+        f"{','.join(sorted(labels))}\t{' '.join(tokens)}" for labels, tokens in documents
+    )
+    # one file, rewritten by every example
+    path = tmp_path_factory.getbasetemp() / "reloaded_model.json"
+    for category in corpus.categories:
+        try:
+            model = _ROUND_TRIP_TRAINERS[method](corpus, category, positive_only)
+        except TrainingError:
+            continue
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded == model
+        save_model(loaded, path)
+        assert path.read_text(encoding="utf-8") == text
 
 
 class TestPersistence:
@@ -623,8 +710,13 @@ class TestPersistence:
                              ids=["wbm", "cos"])
     def test_saved_text_is_pinned(self, sports_corpus, tmp_path, train, text):
         path = tmp_path / "m.json"
-        save_model(train(sports_corpus, "c1"), path)
+        model = train(sports_corpus, "c1")
+        save_model(model, path)
         assert path.read_text(encoding="utf-8") == text
+        payload = json.loads(text)
+        for name, values in zip(("positive", "negative"), _SAVED_VALUES[method_of(model)]):
+            decoded = np.frombuffer(binascii.a2b_base64(payload[name]), "<f8")
+            assert decoded.tolist() == values
 
     def test_round_trip_preserves_clustering(self, sports_corpus, tmp_path):
         model = train_fmm(sports_corpus, "c1", 0.4)
@@ -683,44 +775,52 @@ class TestPersistence:
     def test_bad_schema_version(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"schema_version": 99, "method": "wbm", "category": "a"}')
-        with pytest.raises(ValueError, match="schema version"):
+        with pytest.raises(ValueError, match="^unsupported model schema version: 99$"):
             load_model(path)
+
+    def test_schema_1_is_refused_with_a_retrain_hint(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(_SCHEMA_1_WBM)
+        message = (
+            "unsupported model schema version: 1 "
+            "(written by mixcat < 0.3; retrain the model)"
+        )
+        with pytest.raises(ValueError) as caught:
+            load_model(path)
+        assert str(caught.value) == message
 
     def test_unknown_method(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text('{"schema_version": 1, "method": "svm", "category": "a"}')
+        path.write_text('{"schema_version": 2, "method": "svm", "category": "a"}')
         with pytest.raises(ValueError, match="unknown model method"):
             load_model(path)
 
-    def test_distribution_must_sum_to_one(self, tmp_path):
+    def test_equal_bits_share_one_float_and_signed_zeros_stay_apart(self, tmp_path):
+        model = CosineModel("a", {"x": -0.0, "y": 3.0}, {"x": 0.0, "y": 3.0})
         path = tmp_path / "m.json"
-        path.write_text(
-            '{"schema_version": 1, "method": "wbm", "category": "a",'
-            ' "vocabulary": ["x", "y"], "positive": [0.9, 0.3],'
-            ' "negative": [0.5, 0.5], "settings": {}}'
-        )
-        with pytest.raises(ValueError, match="sum to 1"):
-            load_model(path)
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded == model
+        assert math.copysign(1.0, loaded.positive["x"]) == -1.0
+        assert math.copysign(1.0, loaded.negative["x"]) == 1.0
+        assert loaded.positive["y"] is loaded.negative["y"]
 
-    def test_negative_entries_rejected(self, tmp_path):
+    @pytest.mark.parametrize("change", ["missing", "extra", "count"])
+    def test_save_refuses_cluster_words_that_are_not_the_clusters(
+        self, sports_corpus, tmp_path, change
+    ):
+        model = train_fmm(sports_corpus, "c1", 0.4)
+        first, second = (dict(dist) for dist in model.cluster_words)
+        if change == "missing":
+            del first["racket"]
+        elif change == "extra":
+            first["kick"] = 0.0
+        cluster_words = (first,) if change == "count" else (first, second)
+        broken = dataclasses.replace(model, cluster_words=cluster_words)
         path = tmp_path / "m.json"
-        path.write_text(
-            '{"schema_version": 1, "method": "wbm", "category": "a",'
-            ' "vocabulary": ["x", "y"], "positive": [1.3, -0.3],'
-            ' "negative": [0.5, 0.5], "settings": {}}'
-        )
-        with pytest.raises(ValueError, match="negative or non-finite"):
-            load_model(path)
-
-    def test_zero_cosine_vector_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(
-            '{"schema_version": 1, "method": "cos", "category": "a",'
-            ' "vocabulary": ["x"], "positive": [0.0], "negative": [1.0],'
-            ' "settings": {}}'
-        )
-        with pytest.raises(ValueError, match="all zero"):
-            load_model(path)
+        with pytest.raises(ValueError, match="cannot store it"):
+            save_model(broken, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         ("base", "path", "value", "message"),
