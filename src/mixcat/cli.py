@@ -270,11 +270,7 @@ def cmd_train(cfg: dict) -> int:
             )
         model = _train_one(cfg["method"], corpus, cfg["category"], cfg, em_config, trace)
     with _stage("writing the model"):
-        save_model(model, cfg["model"])
-        with open(cfg["model"], encoding="utf-8") as handle:
-            body = handle.read()
-        with open(cfg["model"], "w", encoding="utf-8") as handle:
-            handle.write(_header("train", cfg) + body)
+        save_model(model, cfg["model"], header=_header("train", cfg))
     if trace is not None:
         buffer = io.StringIO()
         buffer.write(_header("train", cfg))

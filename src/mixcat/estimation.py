@@ -45,7 +45,7 @@ def ele_distribution(counts: Mapping) -> dict:
     if min(counts.values()) < 0:
         raise ValueError("negative count in distribution estimate")
     denom = 2 * sum(counts.values()) + len(counts)
-    # keys with equal counts share one value object: trained models stay small
+    # one division per distinct count; keys with equal counts share its value
     values = {f: (2 * f + 1) / denom for f in set(counts.values())}
     return {key: values[f] for key, f in counts.items()}
 
@@ -63,7 +63,7 @@ def mle_distribution(freqs: Mapping) -> dict:
     total = sum(freqs.values())
     if total == 0:
         raise ValueError("cannot normalize a zero-mass frequency table")
-    # keys with equal frequencies share one value object: models stay small
+    # one division per distinct frequency; keys with equal ones share its value
     values = {f: f / total for f in set(freqs.values())}
     return {key: values[f] for key, f in freqs.items()}
 

@@ -18,8 +18,11 @@ The cosine model is a non-probabilistic baseline over raw frequency
 vectors.  Decisions compare the two sides' scores against a rejection
 threshold epsilon; documents inside the band stay unclassified.
 
-Constructors validate nothing so that models can be assembled directly
-from externally specified parameters; the training and load paths are
+Every model holds its vocabulary once and its parameters as float64
+vectors in that order, and builds its scorer (``_Scorer``) once, so
+all four methods score a document through one path.  Constructors
+validate nothing so that models can be assembled directly from
+externally specified parameters; the training and load paths are
 where well-formedness is enforced.
 """
 
@@ -33,10 +36,11 @@ import re
 import sys
 from array import array
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,18 +69,209 @@ class TrainingError(ValueError):
     """Raised when a corpus cannot support the requested model."""
 
 
-@dataclass(frozen=True)
+class _Derived(Mapping):
+    """A read-only mapping derived from what a model stores, when first read.
+
+    ``parts`` are the stored values (a word index or a vocabulary, and
+    float64 vectors or a member matrix); ``derive(*parts)`` builds the
+    mapping, which is then kept.  A model that only scores and saves
+    never builds one.
+    """
+
+    def __init__(self, derive, *parts):
+        self.derive, self.parts = derive, parts
+
+    @functools.cached_property
+    def _mapping(self) -> Mapping:
+        return self.derive(*self.parts)
+
+    def __getitem__(self, key):
+        return self._mapping[key]
+
+    def __iter__(self):
+        return iter(self._mapping)
+
+    def __len__(self):
+        return len(self._mapping)
+
+    def __repr__(self):
+        return repr(self._mapping)
+
+
+def _side(index: dict, vector: np.ndarray) -> dict:
+    """A ``wbm`` or ``cos`` side as ``{word: value}``."""
+    return dict(zip(index, vector.tolist()))
+
+
+def _cluster_words(vocabulary: tuple, row: np.ndarray, values: np.ndarray) -> dict:
+    """One cluster's ``{member: probability}``, members in vocabulary order."""
+    return dict(zip(compress(vocabulary, row.tolist()), values.tolist()))
+
+
+def _assignments(column: dict, member: np.ndarray) -> Mapping:
+    return from_member_matrix(member, column, None).assignments
+
+
+def _hard_assignments(index: dict, m: int) -> dict:
+    """``{word: (cluster,)}`` from a hard model's ``{word: cluster}`` index."""
+    singles = [(j,) for j in range(m)]
+    return {word: singles[j] for word, j in index.items()}
+
+
+def _parts(value, derive):
+    """The stored parts behind ``value`` when ``derive`` made it, else None."""
+    if isinstance(value, _Derived) and value.derive is derive:
+        return value.parts
+    return None
+
+
+# one int object per column number, shared by the word index of every model
+_COLUMNS: list[int] = []
+
+
+def _word_index(words) -> dict[str, int]:
+    """``{word: column}`` over distinct words, in their order."""
+    words = list(words)
+    if len(_COLUMNS) < len(words):
+        _COLUMNS.extend(range(len(_COLUMNS), len(words)))
+    return dict(zip(words, _COLUMNS))
+
+
+class _Scorer(NamedTuple):
+    """What scoring reads of a model, built once per model.
+
+    ``terms`` has two rows, the positive and the negative side.
+    ``index`` maps every word the model knows to its column; every
+    other word (unknown, or discarded by clustering) reads the last
+    column, which is finite and carries no weight.  A likelihood model's
+    term is the floored log probability of the word (``wbm``), of its
+    cluster (``hcm``, whose words share their cluster's column) or of
+    the mixture ``sum_j theta_j P(w|k_j)`` (``fmm``), so a side's
+    document log likelihood is the count-weighted sum of its terms; a
+    ``cos`` term is the side's raw frequency.
+    """
+
+    index: dict[str, int]
+    terms: np.ndarray
+
+
+def _set(model, **attributes) -> None:
+    for name, value in attributes.items():
+        object.__setattr__(model, name, value)
+
+
+def _floored_log(probabilities) -> np.ndarray:
+    return np.log(np.maximum(probabilities, PROB_FLOOR))
+
+
+def _hold_sides(model, default: float) -> None:
+    """Store a ``wbm`` or ``cos`` model's sides as two vectors over one index.
+
+    The positive side's words are the vocabulary.  The negative side is
+    read at those words, ``default`` standing in for a word it lacks
+    (1.0 for ``wbm``, so the word adds nothing to the negative log
+    likelihood; 0.0 for ``cos``), and its other words are dropped; such
+    a model scores, but ``save_model`` refuses it.
+    """
+    given = _parts(model.positive, _side), _parts(model.negative, _side)
+    error = None
+    if all(given) and given[0][0] is given[1][0]:  # two vectors over one index
+        (index, positive), (_, negative) = given
+    else:
+        index = _word_index(model.positive)
+        n = len(index)
+        negative = np.fromiter(
+            map(model.negative.get, index, repeat(default)), np.float64, n
+        )
+        if len(model.negative) != n or not all(map(model.negative.__contains__, index)):
+            error = (
+                "the negative side does not hold exactly the words of the "
+                "positive side, so the model file cannot store it"
+            )
+        positive = np.fromiter(model.positive.values(), np.float64, n)
+    n = len(index)
+    sides = np.full((2, n + 1), default)
+    sides[0, :n], sides[1, :n] = positive, negative
+    if isinstance(model, CosineModel):  # its terms are its sides: hold them once
+        terms, positive, negative = sides, sides[0, :n], sides[1, :n]
+    else:
+        terms = _floored_log(sides)
+    _set(
+        model,
+        positive=_Derived(_side, index, positive),
+        negative=_Derived(_side, index, negative),
+        _scorer=_Scorer(index, terms),
+        _save_error=error,
+    )
+
+
+def _clustering_view(vocabulary: tuple, column: dict, related, member) -> Clustering:
+    """A Clustering over an m x V member matrix; its assignments are derived when read.
+
+    ``column`` is the vocabulary's ``_word_index``, which a mixture
+    model's scorer reuses.
+    """
+    m = len(member)
+    return Clustering(m, vocabulary, related, _Derived(_assignments, column, member))
+
+
+def _hard_view(vocabulary: tuple, related, m: int, index: dict) -> Clustering:
+    """A Clustering over a ``{word: cluster}`` index, derived when read."""
+    return Clustering(m, vocabulary, related, _Derived(_hard_assignments, index, m))
+
+
+def _membership(clustering: Clustering) -> tuple[Clustering, np.ndarray]:
+    """A clustering as a view over its m x V member matrix, and that matrix."""
+    parts = _parts(clustering.assignments, _assignments)
+    if parts is not None:
+        return clustering, parts[1]
+    parts = _parts(clustering.assignments, _hard_assignments)
+    if parts is not None:
+        index, m = parts
+        vocabulary = clustering.vocabulary
+        ids = np.fromiter(map(index.get, vocabulary, repeat(m)), np.intp, len(vocabulary))
+        return clustering, np.arange(m)[:, None] == ids
+    vocabulary = tuple(clustering.vocabulary)
+    column = _word_index(vocabulary)
+    found = list(map(clustering.assignments.get, vocabulary, repeat(())))
+    sizes = np.fromiter(map(len, found), np.intp, len(found))
+    rows = np.fromiter(chain.from_iterable(found), np.intp, sizes.sum())
+    member = np.zeros((clustering.m, len(found)), bool)
+    member[rows, np.repeat(np.arange(len(found)), sizes)] = True
+    related = clustering.related_categories
+    related = None if related is None else tuple(related)
+    return _clustering_view(vocabulary, column, related, member), member
+
+
+@dataclass(frozen=True, eq=False)
 class WordModel:
-    """Per-side smoothed word distributions over a shared vocabulary."""
+    """Per-side smoothed word distributions over a shared vocabulary.
+
+    The sides are read-only ``{word: probability}`` views over two
+    float64 vectors in vocabulary order; see ``_hold_sides`` for sides
+    assembled with different words.
+    """
 
     category: str
     positive: Mapping[str, float]
     negative: Mapping[str, float]
 
+    def __post_init__(self):
+        _hold_sides(self, 1.0)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        return _equal(self, other)
+
+
+@dataclass(frozen=True, eq=False)
 class HardClusterModel:
-    """Disjoint clusters with per-side cluster distributions."""
+    """Disjoint clusters with per-side cluster distributions.
+
+    The model stores one cluster per word, as a ``{word: cluster}``
+    index that is also its scorer's; ``clustering`` is a read-only view
+    over it.  A word that an assembled clustering puts in several
+    clusters is read in the first.
+    """
 
     category: str
     clustering: Clustering
@@ -84,10 +279,45 @@ class HardClusterModel:
     negative: tuple[float, ...]
     settings: Mapping[str, object] = field(default_factory=dict)
 
+    def __post_init__(self):
+        clustering = self.clustering
+        parts = _parts(clustering.assignments, _hard_assignments)
+        if parts is None:
+            assignments = clustering.assignments
+            index = dict(zip(assignments, map(itemgetter(0), assignments.values())))
+            related = clustering.related_categories
+            related = None if related is None else tuple(related)
+            vocabulary = tuple(clustering.vocabulary)
+            clustering = _hard_view(vocabulary, related, clustering.m, index)
+        else:
+            index = parts[0]
+        sides = (self.positive, self.negative)
+        positive, negative = (tuple(map(float, side)) for side in sides)
+        terms = _floored_log(((*positive, 1.0), (*negative, 1.0)))
+        _set(
+            self,
+            clustering=clustering,
+            positive=positive,
+            negative=negative,
+            _scorer=_Scorer(index, terms),
+            _save_error=None,
+        )
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        return _equal(self, other)
+
+
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
-    """Shared cluster word distributions, per-side mixture weights."""
+    """Shared cluster word distributions, per-side mixture weights.
+
+    ``clustering`` is a read-only view over an m x V member matrix, and
+    ``cluster_words[j]`` one over cluster j's member probabilities, a
+    float64 vector in vocabulary order.  Cluster j's probabilities are
+    read at its members, 0.0 standing in for a member the given mapping
+    lacks; a model assembled with other words scores, but ``save_model``
+    refuses it.
+    """
 
     category: str
     clustering: Clustering
@@ -96,18 +326,83 @@ class MixtureModel:
     negative_theta: tuple[float, ...]
     settings: Mapping[str, object] = field(default_factory=dict)
 
+    def __post_init__(self):
+        clustering, member = _membership(self.clustering)
+        vocabulary = clustering.vocabulary
+        m = len(member)
+        error = None
+        if len(self.cluster_words) != m:
+            error = (
+                f"the model has {len(self.cluster_words)} cluster_words "
+                f"for {m} clusters, so the model file cannot store it"
+            )
+        values = []
+        for j, (dist, row) in enumerate(zip(self.cluster_words, member)):
+            parts = _parts(dist, _cluster_words)
+            if parts and parts[0] is vocabulary and np.array_equal(parts[1], row):
+                values.append(parts[2])
+                continue
+            words = list(compress(vocabulary, row.tolist()))
+            if list(dist) == words:  # the members in order, as training gives them
+                found = dist.values()
+            else:
+                found = map(dist.get, words, repeat(0.0))
+                if len(dist) != len(words) or not all(map(dist.__contains__, words)):
+                    error = error or (
+                        f"cluster_words[{j}] does not hold exactly the members of "
+                        f"cluster {j}, so the model file cannot store it"
+                    )
+            values.append(np.fromiter(found, np.float64, len(words)))
+        sides = (self.positive_theta, self.negative_theta)
+        thetas = [tuple(map(float, side)) for side in sides]
+        theta = np.array(thetas)
+        mixture = np.zeros((2, len(vocabulary) + 1))
+        for j, (row, probabilities) in enumerate(zip(member, values)):
+            cluster = np.zeros(mixture.shape[1])
+            cluster[:-1][row] = probabilities
+            # elementwise and in cluster order, as the mixture always was
+            mixture += theta[:, j, None] * cluster
+        cluster_words = tuple(
+            _Derived(_cluster_words, vocabulary, row, probabilities)
+            for row, probabilities in zip(member, values)
+        )
+        # the vocabulary's index, less the words no cluster holds
+        parts = _parts(clustering.assignments, _assignments)
+        index = _word_index(vocabulary) if parts is None else parts[0]
+        known = member.any(axis=0)
+        if not known.all():
+            index = dict(compress(index.items(), known.tolist()))
+        _set(
+            self,
+            clustering=clustering,
+            cluster_words=cluster_words,
+            positive_theta=thetas[0],
+            negative_theta=thetas[1],
+            _scorer=_Scorer(index, _floored_log(mixture)),
+            _save_error=error,
+        )
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        return _equal(self, other)
+
+
+@dataclass(frozen=True, eq=False)
 class CosineModel:
     """Raw per-side word frequencies over a shared vocabulary.
 
-    ``norms`` is computed on first use and then kept, so a model's sides
-    must not be mutated once it has scored a document.
+    The sides are stored as ``WordModel``'s are.  ``norms`` is computed
+    on first use and then kept.
     """
 
     category: str
     positive: Mapping[str, float]
     negative: Mapping[str, float]
+
+    def __post_init__(self):
+        _hold_sides(self, 0.0)
+
+    def __eq__(self, other):
+        return _equal(self, other)
 
     @functools.cached_property
     def norms(self) -> tuple[float, float]:
@@ -118,12 +413,43 @@ class CosineModel:
         """
         # sides hold whole counts once trained, and a sum of squared whole
         # counts is exact, so hypot gives what sqrt(p @ p) gives
-        sides = (self.positive, self.negative)
-        norms = tuple(math.hypot(*side.values()) for side in sides)
+        sides = (self.positive.parts[1], self.negative.parts[1])
+        norms = tuple(math.hypot(*side.tolist()) for side in sides)
         for name, norm in zip(("positive", "negative"), norms):
             if not norm:
                 raise ValueError(f"cosine model side {name!r} is all zero")
         return norms
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, np.float64).tobytes()
+
+
+def _contents(model) -> tuple:
+    """What ``==`` compares: every field, with vectors by their bits."""
+    if isinstance(model, (WordModel, CosineModel)):
+        index, positive = model.positive.parts
+        negative = model.negative.parts[1]
+        return model.category, list(index), _bits(positive), _bits(negative)
+    clustering, member = _membership(model.clustering)
+    common = (
+        model.category,
+        model.settings,
+        clustering.vocabulary,
+        clustering.related_categories,
+        member.shape,
+        member.tobytes(),
+    )
+    if isinstance(model, HardClusterModel):
+        return *common, _bits(model.positive), _bits(model.negative)
+    values = tuple(_bits(dist.parts[2]) for dist in model.cluster_words)
+    return *common, values, _bits(model.positive_theta), _bits(model.negative_theta)
+
+
+def _equal(model, other) -> bool:
+    if type(other) is not type(model):
+        return NotImplemented
+    return _contents(model) == _contents(other)
 
 
 @dataclass(frozen=True)
@@ -175,8 +501,12 @@ def train_wbm(
     """
     table = _pools(corpus, category, positive_only)
     vocab = table.vocabulary
+    index, n = _word_index(vocab), len(vocab)
     positive, negative = (
-        ele_distribution(dict(zip(vocab, row))) for row in table.matrix.tolist()
+        _Derived(_side, index, np.fromiter(dist.values(), np.float64, n))
+        for dist in (
+            ele_distribution(dict(zip(vocab, row))) for row in table.matrix.tolist()
+        )
     )
     return WordModel(category, positive, negative)
 
@@ -281,23 +611,34 @@ def train_fmm(
         "em_iterations": [pos.iterations, neg.iterations],
         "em_converged": [pos.converged, neg.converged],
     }
+    # each cluster's distribution holds exactly its members, in vocabulary
+    # order, so one pass over it gives both its member row and its vector
+    vocabulary = clustering.vocabulary
+    column = _word_index(vocabulary)
+    member = np.zeros((clustering.m, len(vocabulary)), bool)
+    views = []
+    for row, dist in zip(member, cluster_words):
+        row[np.fromiter(map(column.__getitem__, dist), np.intp, len(dist))] = True
+        values = np.fromiter(dist.values(), np.float64, len(dist))
+        views.append(_Derived(_cluster_words, vocabulary, row, values))
     return MixtureModel(
-        category, clustering, tuple(cluster_words), pos.theta, neg.theta, settings
+        category,
+        _clustering_view(vocabulary, column, clustering.related_categories, member),
+        tuple(views),
+        pos.theta,
+        neg.theta,
+        settings,
     )
 
 
 def train_cos(
     corpus: LabeledCorpus, category: str, positive_only: bool = True
 ) -> CosineModel:
-    """Raw frequency vectors for the category and its complement.
-
-    Equal counts share one float, so a model holds one per distinct count.
-    """
+    """Raw frequency vectors for the category and its complement."""
     table = _pools(corpus, category, positive_only)
-    vocab = table.vocabulary
-    sides = table.matrix.tolist()
-    floats = {count: float(count) for count in set().union(*sides)}
-    positive, negative = (dict(zip(vocab, map(floats.__getitem__, s))) for s in sides)
+    index = _word_index(table.vocabulary)
+    sides = table.matrix.astype(np.float64)
+    positive, negative = (_Derived(_side, index, side) for side in sides)
     return CosineModel(category, positive, negative)
 
 
@@ -341,52 +682,12 @@ def doc_term_table(documents: Iterable[Iterable[str]]) -> DocTermTable:
     )
 
 
-def _floored_log(probabilities) -> np.ndarray:
-    return np.log(np.maximum(probabilities, PROB_FLOOR))
-
-
-def _word_terms(model, words: Collection[str]):
-    """Per-word terms of a model over distinct words.
-
-    Returns ``(terms, in_model)``: ``terms`` has two rows, the positive
-    and the negative side, with one column per word; ``in_model`` marks
-    the words the model knows (not unknown, not discarded by
-    clustering).  For the likelihood models a term is the word's log
-    probability on that side, floored at PROB_FLOOR, so a side's
-    document log likelihood is the count-weighted sum of its terms: the
-    word probability (``wbm``), the probability of the word's cluster
-    (``hcm``), or the fixed mixture ``sum_j theta_j P(w|k_j)`` (``fmm``).
-    For ``cos`` the terms are the side's raw frequencies.  Terms of
-    words outside the model are finite and carry no weight.
-    """
-    n = len(words)
-    if isinstance(model, (WordModel, CosineModel)):
-        cosine = isinstance(model, CosineModel)
-        default = 0.0 if cosine else 1.0
-        terms = np.empty((2, n))
-        for row, side in zip(terms, (model.positive, model.negative)):
-            row[:] = np.fromiter(map(side.get, words, repeat(default)), np.float64, n)
-        known = np.fromiter(map(model.positive.__contains__, words), bool, n)
-        return (terms if cosine else _floored_log(terms)), known
-    if isinstance(model, HardClusterModel):
-        m = len(model.positive)
-        found = map(model.clustering.assignments.get, words, repeat((m,)))
-        ids = np.fromiter(map(itemgetter(0), found), np.intp, n)
-        # id m picks the term log 1 = 0 for words outside every cluster
-        sides = ((*model.positive, 1.0), (*model.negative, 1.0))
-        return _floored_log(sides).take(ids, axis=1), ids < m
-    if isinstance(model, MixtureModel):
-        theta = np.array((model.positive_theta, model.negative_theta))
-        mixture = np.zeros((2, n))
-        for j, dist in enumerate(model.cluster_words):
-            # elementwise, so a word's mixture does not depend on which
-            # other words are scored with it
-            mixture += theta[:, j, None] * np.fromiter(
-                map(dist.get, words, repeat(0.0)), np.float64, n
-            )
-        known = map(model.clustering.assignments.__contains__, words)
-        return _floored_log(mixture), np.fromiter(known, bool, n)
-    raise TypeError(f"unknown model type: {type(model).__name__}")
+def _columns(model, words: Iterable[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scorer's column of each of ``n`` words, and which are known."""
+    index, terms = model._scorer
+    unknown = terms.shape[1] - 1
+    columns = np.fromiter(map(index.get, words, repeat(unknown)), np.intp, n)
+    return columns, columns < unknown
 
 
 def _side_sums(counts: np.ndarray, terms: np.ndarray, starts) -> np.ndarray:
@@ -425,14 +726,19 @@ def _score(model, pos, neg, evidence):
     return (pos - neg) / evidence
 
 
+# the start of the one document that _document_sums sums
+_ONE_DOCUMENT = np.zeros(1, np.intp)
+
+
 def _document_sums(model, tokens: Iterable[str]) -> tuple[float, float, float]:
     """``sum c*a``, ``sum c*b`` and the evidence of one document."""
     counter = Counter(tokens)
     if not counter:
         return 0.0, 0.0, 0.0
-    terms, known = _word_terms(model, counter)
+    columns, known = _columns(model, counter, len(counter))
     counts = np.fromiter(counter.values(), np.float64, len(counter)) * known
-    pos, neg = _side_sums(counts, terms, [0]).ravel().tolist()
+    terms = model._scorer.terms.take(columns, axis=1)
+    pos, neg = _side_sums(counts, terms, _ONE_DOCUMENT).ravel().tolist()
     # counts are whole numbers, so their sum is exact in any order
     return pos, neg, float(_evidence(model, counts).sum())
 
@@ -444,11 +750,13 @@ def table_scores(model, table: DocTermTable) -> list[float | None]:
     one ``classify_document`` gives the document alone, and a model it
     refuses is refused here too.
     """
-    terms, known = _word_terms(model, table.words)
-    columns = table.columns
-    counts = table.counts * known[columns]
+    method_of(model)
+    columns, known = _columns(model, table.words, len(table.words))
+    columns = columns[table.columns]
+    counts = table.counts * known[table.columns]
     sums = np.zeros((3, len(table.filled)))
-    sums[:2, table.filled] = _side_sums(counts, terms[:, columns], table.starts)
+    terms = model._scorer.terms.take(columns, axis=1)
+    sums[:2, table.filled] = _side_sums(counts, terms, table.starts)
     sums[2, table.filled] = np.add.reduceat(_evidence(model, counts), table.starts)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = _score(model, *sums)
@@ -555,42 +863,31 @@ def _base64(data: bytes) -> str:
     return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
-def _encode(values: Iterable[float]) -> str:
+def _encode(values) -> str:
     """Floats as the base64 text of their little-endian float64 bytes."""
-    return _base64(np.fromiter(values, "<f8").tobytes())
+    return _base64(np.asarray(values, "<f8").tobytes())
 
 
-def _member_matrix(clustering: Clustering) -> np.ndarray:
-    """The m x V membership bits of a clustering, over its vocabulary."""
-    found = list(map(clustering.assignments.get, clustering.vocabulary, repeat(())))
-    sizes = np.fromiter(map(len, found), np.intp, len(found))
-    rows = np.fromiter(chain.from_iterable(found), np.intp, sizes.sum())
-    member = np.zeros((clustering.m, len(found)), bool)
-    member[rows, np.repeat(np.arange(len(found)), sizes)] = True
-    return member
-
-
-def _cluster_values(dist: Mapping[str, float], members: list, j: int):
-    """A cluster's word probabilities, in the order of its members."""
-    if len(dist) != len(members) or not all(map(dist.__contains__, members)):
-        raise ValueError(
-            f"cluster_words[{j}] does not hold exactly the members of cluster {j}, "
-            "so the model file cannot store it"
-        )
-    return map(dist.__getitem__, members)
-
-
-def save_model(model, path) -> None:
+def save_model(model, path, header: str = "") -> None:
     """Write a model as one line of JSON, in schema 2.
 
     The vocabulary is written once.  Every numeric vector is the base64
     text of its little-endian float64 bytes, so a reloaded model
     reproduces the original's decisions bit for bit; cluster membership
-    is one packed bit matrix.  A mixture model whose ``cluster_words[j]``
-    does not hold exactly the members of cluster j cannot be written and
-    raises ValueError; no trained model is one.
+    is one packed bit matrix.  ``header``, written first in the same
+    pass, must be ``#`` lines, each ending in a newline, which
+    ``load_model`` skips.  A model assembled with sides or
+    ``cluster_words`` that do not hold its vocabulary or its clusters'
+    members exactly cannot be written and raises ValueError naming
+    them; no trained model is one.
     """
+    if _HEADER.fullmatch(header) is None:
+        raise ValueError(
+            "a model file header must be '#' lines, each ending in a newline"
+        )
     method = method_of(model)
+    if model._save_error is not None:
+        raise ValueError(model._save_error)
     payload: dict = {
         "schema_version": _SCHEMA_VERSION,
         "method": method,
@@ -598,13 +895,12 @@ def save_model(model, path) -> None:
         "settings": dict(getattr(model, "settings", {})),
     }
     if method in ("wbm", "cos"):
-        vocab = list(model.positive)
-        payload["vocabulary"] = vocab
-        payload["positive"] = _encode(model.positive.values())
-        payload["negative"] = _encode(map(model.negative.__getitem__, vocab))
+        index, positive = model.positive.parts
+        payload["vocabulary"] = list(index)
+        payload["positive"] = _encode(positive)
+        payload["negative"] = _encode(model.negative.parts[1])
     else:
-        clustering = model.clustering
-        member = _member_matrix(clustering)
+        clustering, member = _membership(model.clustering)
         related = clustering.related_categories
         payload["vocabulary"] = list(clustering.vocabulary)
         payload["clusters"] = clustering.m
@@ -614,19 +910,13 @@ def save_model(model, path) -> None:
             payload["positive"] = _encode(model.positive)
             payload["negative"] = _encode(model.negative)
         else:
-            if len(model.cluster_words) != clustering.m:
-                raise ValueError(
-                    f"the model has {len(model.cluster_words)} cluster_words "
-                    f"for {clustering.m} clusters, so the model file cannot store it"
-                )
-            words = np.array(clustering.vocabulary, dtype=object)
             payload["cluster_words"] = [
-                _encode(_cluster_values(dist, words[row].tolist(), j))
-                for j, (dist, row) in enumerate(zip(model.cluster_words, member))
+                _encode(dist.parts[2]) for dist in model.cluster_words
             ]
             payload["positive_theta"] = _encode(model.positive_theta)
             payload["negative_theta"] = _encode(model.negative_theta)
     with open(path, "w", encoding="utf-8") as handle:
+        handle.write(header)
         json.dump(payload, handle)
         handle.write("\n")
 
@@ -708,21 +998,6 @@ def _members(payload: dict, m: int, n: int) -> np.ndarray:
     return bits[:, :n].astype(bool)
 
 
-def _shared_floats(vectors: list[np.ndarray]) -> list[list[float]]:
-    """Each vector's values as floats, one float per distinct bit pattern.
-
-    Equal values share one object across all the vectors, so a model
-    holds as many floats as it has distinct values; comparing bits
-    keeps -0.0 apart from 0.0.
-    """
-    joined = np.concatenate(vectors)
-    distinct, which = np.unique(joined.view("<u8"), return_inverse=True)
-    floats = distinct.view("<f8").tolist()
-    values = list(map(floats.__getitem__, which.ravel().tolist()))
-    ends = list(accumulate(map(len, vectors)))
-    return [values[start:end] for start, end in zip([0, *ends], ends)]
-
-
 def load_model(path):
     """Read a model written by ``save_model``, validating its shape.
 
@@ -735,7 +1010,8 @@ def load_model(path):
     must fill one row per cluster, and every distribution must sum to 1.
 
     Words are interned, so the models loaded in one process share one
-    string per word, and equal values in one file share one float.
+    string per word; the model keeps the decoded float64 vectors and
+    member matrix.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
@@ -767,9 +1043,9 @@ def load_model(path):
         for name, side in zip(("positive", "negative"), sides):
             if method == "cos" and not side.any():
                 raise ValueError(f"model field {name!r} is all zero")
-        positive, negative = _shared_floats(sides)
+        index = _word_index(vocab)
         kind = WordModel if method == "wbm" else CosineModel
-        return kind(category, dict(zip(vocab, positive)), dict(zip(vocab, negative)))
+        return kind(category, *(_Derived(_side, index, side) for side in sides))
     m = payload.get("clusters")
     if type(m) is not int or m < 0:
         raise ValueError("model field 'clusters' must be a non-negative integer")
@@ -796,8 +1072,14 @@ def load_model(path):
                 "model field 'members' overlaps; "
                 "a hard-cluster model needs disjoint clusters"
             )
-        positive, negative = map(tuple, _shared_floats(sides))
-        clustering = from_member_matrix(member, vocab, related)
+        # each word's first cluster; the row of ones gives m to words in none
+        rows = np.ones((m + 1, len(vocab)), bool)
+        rows[:m] = member
+        ids = rows.argmax(axis=0)
+        known = ids < m
+        index = dict(zip(compress(vocab, known.tolist()), ids[known].tolist()))
+        clustering = _hard_view(vocab, related, m, index)
+        positive, negative = (tuple(side.tolist()) for side in sides)
         return HardClusterModel(category, clustering, positive, negative, settings)
     encoded = _field(payload, "cluster_words", list)
     if len(encoded) != m:
@@ -815,17 +1097,14 @@ def load_model(path):
         _distribution(text, f"cluster_words[{j}]", size, f"member of cluster {j}")
         for j, (text, size) in enumerate(zip(encoded, sizes))
     ]
-    *values, positive_theta, negative_theta = _shared_floats([*dists, *thetas])
-    words = np.array(vocab, dtype=object)
     cluster_words = tuple(
-        dict(zip(words[row].tolist(), probabilities))
-        for row, probabilities in zip(member, values)
+        _Derived(_cluster_words, vocab, row, probabilities)
+        for row, probabilities in zip(member, dists)
     )
     return MixtureModel(
         category,
-        from_member_matrix(member, vocab, related),
+        _clustering_view(vocab, _word_index(vocab), related, member),
         cluster_words,
-        tuple(positive_theta),
-        tuple(negative_theta),
+        *(tuple(theta.tolist()) for theta in thetas),
         settings,
     )

@@ -18,6 +18,7 @@ from mixcat import (
     CosineModel,
     Decision,
     EmConfig,
+    HardClusterModel,
     MixtureModel,
     TrainingError,
     WordModel,
@@ -189,6 +190,13 @@ class TestMixtureModel:
         model = train_fmm(sports_corpus, "c1", 0.4)
         _, _, n = doc_log_likelihood(model, ("kick", "goal", "goal", "ball"))
         assert n == 4
+
+    def test_discarded_words_are_not_counted(self, sports_corpus):
+        model = train_fmm(sports_corpus, "c1", 0.5)
+        assert model.clustering.discarded == {"ball"}
+        _, _, n = doc_log_likelihood(model, ("kick", "goal", "goal", "ball"))
+        assert n == 3
+        assert classify_document(model, ("ball",), 0.0) == Decision("unclassified", None)
 
     def test_empty_cluster_is_a_training_error(self):
         corpus = parse_corpus(["c1\tball ball", "c2\tball goal"])
@@ -639,6 +647,10 @@ _ROUND_TRIP_TRAINERS = {
         corpus, c, top_l=2, top_m=3, positive_only=rule
     ),
     "fmm": lambda corpus, c, rule: train_fmm(corpus, c, 0.3, positive_only=rule),
+    # at gamma 0.5 a word split evenly between the sides is discarded
+    "fmm-discarding": lambda corpus, c, rule: train_fmm(
+        corpus, c, 0.5, positive_only=rule
+    ),
     "cos": train_cos,
 }
 
@@ -737,7 +749,7 @@ class TestPersistence:
         assignments = model.clustering.assignments
         assert assignments["racket"] is assignments["stroke"]
 
-    def test_loaded_models_share_words_and_values(self, sports_corpus, tmp_path):
+    def test_loaded_models_share_one_string_per_word(self, sports_corpus, tmp_path):
         first, second = tmp_path / "c1.json", tmp_path / "c2.json"
         save_model(train_wbm(sports_corpus, "c1"), first)
         save_model(train_wbm(sports_corpus, "c2"), second)
@@ -746,25 +758,98 @@ class TestPersistence:
         assert set(a.positive) == set(b.positive)
         words = {w: w for w in a.positive}
         assert all(words[w] is w for w in b.positive)
-        # an equal float literal is parsed into one object per model
-        values = list(a.positive.values()) + list(a.negative.values())
-        assert len(set(map(id, values))) == len(set(values))
+        assert all(x is y for x, y in zip(a.positive, a.negative))
 
-    def test_trained_models_share_equal_values(self, sports_corpus):
-        # an equal count gives one value object per side, as after loading
-        word = train_wbm(sports_corpus, "c1")
-        cosine = train_cos(sports_corpus, "c1")
-        mixture = train_fmm(sports_corpus, "c1", 0.4)
-        sides = [
-            list(word.positive.values()),
-            list(word.negative.values()),
-            list(cosine.positive.values()),
-            list(cosine.negative.values()),
-            *(list(dist.values()) for dist in mixture.cluster_words),
-        ]
-        assert all(len(values) > len(set(values)) for values in sides[:4])
-        for values in sides:
-            assert len(set(map(id, values))) == len(set(values))
+    @pytest.mark.parametrize("method", sorted(_ROUND_TRIP_TRAINERS))
+    def test_trained_reloaded_and_assembled_models_agree(
+        self, sports_corpus, tmp_path, method
+    ):
+        """A trained model, its reload and a model assembled from the same
+        values by hand decide alike, bit for bit, and compare equal."""
+        trained = _ROUND_TRIP_TRAINERS[method](sports_corpus, "c1", True)
+        path = tmp_path / "m.json"
+        save_model(trained, path)
+        loaded = load_model(path)
+        if isinstance(trained, (WordModel, CosineModel)):
+            assembled = type(trained)(
+                "c1", dict(trained.positive), dict(trained.negative)
+            )
+        else:
+            clustering = trained.clustering
+            clustering = from_member_sets(
+                [set(members) for members in clustering.clusters],
+                clustering.vocabulary,
+                clustering.related_categories,
+            )
+            if isinstance(trained, MixtureModel):
+                assembled = MixtureModel(
+                    "c1",
+                    clustering,
+                    tuple(dict(dist) for dist in trained.cluster_words),
+                    trained.positive_theta,
+                    trained.negative_theta,
+                    dict(trained.settings),
+                )
+            else:
+                assembled = HardClusterModel(
+                    "c1", clustering, trained.positive, trained.negative,
+                    dict(trained.settings),
+                )
+        assert trained == loaded == assembled
+        assert assembled == trained and loaded == trained
+        documents = [d.tokens for d in sports_corpus.documents]
+        documents += [("kick", "goal", "goal", "ball"), ("comet",), ()]
+        for document in documents:
+            for epsilon in (0.0, 0.05, 0.4):
+                decision = classify_document(trained, document, epsilon)
+                assert classify_document(loaded, document, epsilon) == decision
+                assert classify_document(assembled, document, epsilon) == decision
+        table = doc_term_table(documents)
+        assert table_scores(trained, table) == table_scores(loaded, table) == (
+            table_scores(assembled, table)
+        )
+        save_model(assembled, tmp_path / "assembled.json")
+        assert (tmp_path / "assembled.json").read_text() == path.read_text()
+
+    def test_models_differ_in_one_bit(self, sports_corpus):
+        model = train_wbm(sports_corpus, "c1")
+        positive = dict(model.positive)
+        positive["kick"] = math.nextafter(positive["kick"], 1.0)
+        assert WordModel("c1", positive, dict(model.negative)) != model
+        assert WordModel("c2", dict(model.positive), dict(model.negative)) != model
+        assert train_cos(sports_corpus, "c1") != model
+
+    def test_save_writes_the_header_in_the_same_file(self, sports_corpus, tmp_path):
+        model = train_fmm(sports_corpus, "c1", 0.4)
+        plain, headed = tmp_path / "plain.json", tmp_path / "headed.json"
+        header = "# mixcat train\n# config {}\n"
+        save_model(model, plain)
+        save_model(model, headed, header=header)
+        assert headed.read_bytes() == header.encode() + plain.read_bytes()
+        assert load_model(headed) == model
+
+    @pytest.mark.parametrize("header", ["no hash\n", "# no newline", "#a\nb\n"])
+    def test_save_refuses_a_header_load_would_not_skip(self, sports_corpus, tmp_path, header):
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="header"):
+            save_model(train_wbm(sports_corpus, "c1"), path, header=header)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", [WordModel, CosineModel], ids=["wbm", "cos"])
+    @pytest.mark.parametrize("negative", [
+        {"x": 0.5, "z": 0.5},  # one word swapped
+        {"x": 1.0},  # one word missing
+        {"x": 0.25, "y": 0.25, "z": 0.5},  # one word extra
+    ], ids=["swapped", "missing", "extra"])
+    def test_save_refuses_sides_with_different_words(self, tmp_path, kind, negative):
+        model = kind("a", {"x": 0.5, "y": 0.5}, negative)
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="negative side does not hold exactly"):
+            save_model(model, path)
+        assert not path.exists()
+        # the positive side's words are the vocabulary
+        assert list(model.negative) == ["x", "y"]
+        assert classify_document(model, ("z",), 0.0) == Decision("unclassified", None)
 
     def test_settings_survive(self, sports_corpus, tmp_path):
         model = train_hcm(sports_corpus, "c1", top_l=5, top_m=5)
@@ -803,7 +888,8 @@ class TestPersistence:
         assert loaded == model
         assert math.copysign(1.0, loaded.positive["x"]) == -1.0
         assert math.copysign(1.0, loaded.negative["x"]) == 1.0
-        assert loaded.positive["y"] is loaded.negative["y"]
+        assert float.hex(loaded.positive["y"]) == float.hex(loaded.negative["y"])
+        assert loaded != CosineModel("a", {"x": 0.0, "y": 3.0}, {"x": 0.0, "y": 3.0})
 
     @pytest.mark.parametrize("change", ["missing", "extra", "count"])
     def test_save_refuses_cluster_words_that_are_not_the_clusters(
