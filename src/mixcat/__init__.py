@@ -72,7 +72,7 @@ from mixcat.models import (
     train_wbm,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BreakEven",

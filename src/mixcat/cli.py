@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import compress, repeat
 
 from mixcat.clustering import rank_clusters, soft_clusters
 from mixcat.corpus import parse_corpus
@@ -367,13 +367,13 @@ def cmd_clusters(cfg: dict) -> int:
         else:
             clustering = rank_clusters(table, cfg["top_l"], cfg["top_m"])
     lines = [_header("clusters", cfg).rstrip("\n")]
-    for j, members in enumerate(clustering.clusters):
+    vocabulary, member = clustering.vocabulary, clustering.member
+    for j, row in enumerate(member.tolist()):
         label = f"k{j + 1}"
         if clustering.related_categories is not None:
             label += f" ({clustering.related_categories[j]})"
-        ordered = [w for w in clustering.vocabulary if w in members]
-        lines.append(f"{label}: {', '.join(ordered)}")
-    discarded = [w for w in clustering.vocabulary if w not in clustering.assignments]
+        lines.append(f"{label}: {', '.join(compress(vocabulary, row))}")
+    discarded = compress(vocabulary, (~member.any(axis=0)).tolist())
     lines.append(f"discarded: {', '.join(discarded)}")
     _write_text(cfg["output"], "\n".join(lines) + "\n")
     return 0

@@ -13,9 +13,9 @@ and are skipped during classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,63 +25,62 @@ if TYPE_CHECKING:  # only an uneven split builds one; see distribute_frequencies
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """Cluster membership over a vocabulary.
+    """Cluster membership over a vocabulary, as one read-only matrix.
 
-    ``m`` counts the clusters, empty ones included.  ``related_categories``
-    ties cluster i to category i for the threshold scheme and is None for
-    the rank scheme.  ``assignments`` maps each non-discarded word to its
-    cluster indices, in vocabulary order; ``clusters`` and ``discarded``
-    are derived from it.
+    ``member`` is an m x V boolean matrix: row j marks the words of
+    ``vocabulary`` in cluster j, and a word in no row is discarded.
+    ``related_categories`` ties cluster i to category i for the
+    threshold scheme and is None for the rank scheme.  ``m``,
+    ``assignments``, ``clusters`` and ``discarded`` are derived from the
+    matrix on each read and never kept; the library itself reads only
+    the matrix.
     """
 
-    m: int
     vocabulary: tuple[str, ...]
     related_categories: tuple[str, ...] | None
-    assignments: Mapping[str, tuple[int, ...]]
+    member: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.member.setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        """The number of clusters, empty ones included."""
+        return len(self.member)
+
+    @property
+    def assignments(self) -> dict[str, tuple[int, ...]]:
+        """Each non-discarded word's cluster indices, in vocabulary order."""
+        clusters = range(self.m)
+        return {
+            word: tuple(compress(clusters, bits))
+            for word, bits in zip(self.vocabulary, self.member.T.tolist())
+            if True in bits
+        }
 
     @property
     def clusters(self) -> tuple[frozenset[str], ...]:
-        items = self.assignments.items()
-        return tuple(frozenset(w for w, js in items if j in js) for j in range(self.m))
+        rows = self.member.tolist()
+        return tuple(frozenset(compress(self.vocabulary, row)) for row in rows)
 
     @property
     def discarded(self) -> frozenset[str]:
-        return frozenset(self.vocabulary).difference(self.assignments)
+        return frozenset(compress(self.vocabulary, (~self.member.any(axis=0)).tolist()))
 
     def is_hard(self) -> bool:
         """True when no word sits in more than one cluster."""
-        return max(map(len, self.assignments.values()), default=1) == 1
+        return bool(self.member.sum(axis=0).max(initial=0) <= 1)
 
-
-def from_member_matrix(member: np.ndarray, vocabulary, related_categories) -> Clustering:
-    """Assemble a Clustering from an m x V boolean member matrix.
-
-    Row j marks the words of ``vocabulary`` in cluster j; a word in no
-    row is discarded.  Every word with the same membership pattern
-    shares one index tuple.
-    """
-    vocabulary = tuple(vocabulary)
-    if related_categories is not None:
-        related_categories = tuple(related_categories)
-    if not len(member):  # no row to pack into the keys below
-        return Clustering(0, vocabulary, related_categories, {})
-    # a word's pattern, packed into bytes, is its key; up to 64 clusters
-    # it is one integer, which np.unique sorts about three times faster
-    # than raw bytes
-    packed = np.packbits(member, axis=0).T
-    width = 8 * -(-packed.shape[1] // 8)
-    padded = np.zeros((len(packed), width), np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    keys = padded.view("<u8" if width == 8 else f"V{width}").ravel()
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    clusters = range(len(member))
-    shared = [tuple(compress(clusters, bits)) for bits in member[:, first].T.tolist()]
-    assigned = member.any(axis=0)
-    found = map(shared.__getitem__, which.ravel()[assigned].tolist())
-    assignments = dict(zip(compress(vocabulary, assigned.tolist()), found))
-    return Clustering(len(member), vocabulary, related_categories, assignments)
+    def __eq__(self, other):
+        if type(other) is not Clustering:
+            return NotImplemented
+        return (
+            self.vocabulary == other.vocabulary
+            and self.related_categories == other.related_categories
+            and np.array_equal(self.member, other.member)  # shape and bits
+        )
 
 
 def soft_clusters(table: FrequencyTable, gamma: float) -> Clustering:
@@ -100,7 +99,7 @@ def soft_clusters(table: FrequencyTable, gamma: float) -> Clustering:
     # with no occurrences gives 0/0, which joins nothing
     with np.errstate(divide="ignore", invalid="ignore"):
         member = (cells > 0) & (cells / cells.sum(axis=0) > gamma)
-    return from_member_matrix(member, table.vocabulary, table.categories)
+    return Clustering(table.vocabulary, table.categories, member)
 
 
 def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
@@ -137,7 +136,7 @@ def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
     in_k2[top(1, top_l)] = True
     in_k2[top(0, top_m)] = False
     member = np.array((in_k1, in_k2, ~(in_k1 | in_k2)))
-    return from_member_matrix(member, vocabulary, None)
+    return Clustering(vocabulary, None, member)
 
 
 @dataclass(frozen=True)
@@ -160,31 +159,35 @@ def distribute_frequencies(
     A word in a single cluster keeps its full count there.  A word in
     several clusters is split in proportion to its frequency in each
     cluster's related category, which is why this operation requires a
-    threshold-scheme clustering.
+    threshold-scheme clustering over the table's vocabulary, in its
+    order.
     """
     if clustering.related_categories is None:
         raise ValueError("frequency distribution needs category-related clusters")
-    totals = table.matrix.sum(axis=0).tolist()
+    if clustering.vocabulary != table.vocabulary:
+        raise ValueError("the clustering is not over the table's vocabulary")
+    vocabulary, member = table.vocabulary, clustering.member
+    order = [table.categories.index(c) for c in clustering.related_categories]
+    related = table.matrix[order]
+    denominators = np.where(member, related, 0).sum(axis=0)
+    split = member.sum(axis=0) > 1
     # Python ints from here on: total * weight may exceed the int64 range
-    counts = dict(zip(table.categories, table.matrix.tolist()))
-    related = [counts[c] for c in clustering.related_categories]
-    rows: list[dict[str, int | Fraction]] = [{} for _ in range(clustering.m)]
-    found = map(clustering.assignments.get, table.vocabulary)
-    for column, (word, ids, total) in enumerate(zip(table.vocabulary, found, totals)):
-        if ids is None:
-            continue
-        if len(ids) == 1:
-            rows[ids[0]][word] = total
-            continue
-        weights = [related[j][column] for j in ids]
-        denom = sum(weights)
-        for j, weight in zip(ids, weights):
+    totals = table.matrix.sum(axis=0).tolist()
+    rows: list[dict[str, int | Fraction]] = []
+    for j, row in enumerate(member):
+        bits = row.tolist()
+        # members in vocabulary order, each with its full count until split
+        words = dict(zip(compress(vocabulary, bits), compress(totals, bits)))
+        for column in np.flatnonzero(row & split).tolist():
+            total, weight = totals[column], related[j, column].item()
+            denominator = denominators[column].item()
             # assignment implies a positive count in the related category
-            assert weight > 0, (word, j)
-            share, rest = divmod(total * weight, denom)
+            assert weight > 0, (vocabulary[column], j)
+            share, rest = divmod(total * weight, denominator)
             if rest:
                 from fractions import Fraction  # kept off the import path
 
-                share = Fraction(total * weight, denom)
-            rows[j][word] = share
+                share = Fraction(total * weight, denominator)
+            words[vocabulary[column]] = share
+        rows.append(words)
     return DistributedFrequencies(tuple(rows))

@@ -75,22 +75,17 @@ def _table(cells: Mapping[str, Counter], vocabulary: tuple[str, ...]) -> Frequen
     return FrequencyTable(tuple(cells), vocabulary, matrix)
 
 
-def cluster_frequencies(
-    table: FrequencyTable, clustering
-) -> dict[tuple[str, int], int]:
+def cluster_frequencies(table: FrequencyTable, clustering) -> dict[tuple[str, int], int]:
     """Aggregate word counts into cluster counts.
 
     Returns f(k|c) for every (category, cluster index) pair, where a
     cluster's count is the sum of its member words' counts in that
     category.  Words the clustering discarded contribute nowhere.
+    ``clustering`` must be over the table's vocabulary, in its order.
     """
-    n = len(table.vocabulary)
-    ids = list(map(clustering.assignments.get, table.vocabulary, repeat(())))
-    sizes = np.fromiter(map(len, ids), np.intp, n)
-    clusters = np.fromiter(chain.from_iterable(ids), np.intp, sizes.sum())
-    member = np.zeros((clustering.m, n), np.int64)
-    member[clusters, np.arange(n).repeat(sizes)] = 1
-    sums = (table.matrix @ member.T).tolist()
+    if clustering.vocabulary != table.vocabulary:
+        raise ValueError("the clustering is not over the table's vocabulary")
+    sums = (table.matrix @ clustering.member.T).tolist()
     return {
         (category, j): sums[i][j]
         for j in range(clustering.m)

@@ -19,6 +19,7 @@ most 1 keeps every component nonnegative.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -191,8 +192,8 @@ class EmConfig:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,8 @@ def em_fit(
         theta = np.ascontiguousarray(cfg.initial_theta, dtype=np.float64)
         if theta.shape != (m,):
             raise ValueError("initial weights do not match component count")
-        if np.any(theta < 0) or abs(float(theta.sum()) - 1.0) > 1e-9:
+        # stated as what must hold, so that a NaN weight fails it
+        if not ((theta >= 0).all() and abs(float(theta.sum()) - 1.0) <= 1e-9):
             raise ValueError("initial weights must form a distribution")
     else:
         theta = np.full(m, 1.0 / m)

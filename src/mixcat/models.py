@@ -21,9 +21,10 @@ threshold epsilon; documents inside the band stay unclassified.
 Every model holds its vocabulary once and its parameters as float64
 vectors in that order, and builds its scorer (``_Scorer``) once, so
 all four methods score a document through one path.  Constructors
-validate nothing so that models can be assembled directly from
-externally specified parameters; the training and load paths are
-where well-formedness is enforced.
+validate nothing but a hard-cluster model's disjointness, so that
+models can be assembled directly from externally specified
+parameters; the training and load paths are where well-formedness is
+enforced.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import itemgetter
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ import numpy as np
 from mixcat.clustering import (
     Clustering,
     distribute_frequencies,
-    from_member_matrix,
     rank_clusters,
     soft_clusters,
 )
@@ -67,62 +66,6 @@ PROB_FLOOR = 1e-12
 
 class TrainingError(ValueError):
     """Raised when a corpus cannot support the requested model."""
-
-
-class _Derived(Mapping):
-    """A read-only mapping derived from what a model stores, when first read.
-
-    ``parts`` are the stored values (a word index or a vocabulary, and
-    float64 vectors or a member matrix); ``derive(*parts)`` builds the
-    mapping, which is then kept.  A model that only scores and saves
-    never builds one.
-    """
-
-    def __init__(self, derive, *parts):
-        self.derive, self.parts = derive, parts
-
-    @functools.cached_property
-    def _mapping(self) -> Mapping:
-        return self.derive(*self.parts)
-
-    def __getitem__(self, key):
-        return self._mapping[key]
-
-    def __iter__(self):
-        return iter(self._mapping)
-
-    def __len__(self):
-        return len(self._mapping)
-
-    def __repr__(self):
-        return repr(self._mapping)
-
-
-def _side(index: dict, vector: np.ndarray) -> dict:
-    """A ``wbm`` or ``cos`` side as ``{word: value}``."""
-    return dict(zip(index, vector.tolist()))
-
-
-def _cluster_words(vocabulary: tuple, row: np.ndarray, values: np.ndarray) -> dict:
-    """One cluster's ``{member: probability}``, members in vocabulary order."""
-    return dict(zip(compress(vocabulary, row.tolist()), values.tolist()))
-
-
-def _assignments(column: dict, member: np.ndarray) -> Mapping:
-    return from_member_matrix(member, column, None).assignments
-
-
-def _hard_assignments(index: dict, m: int) -> dict:
-    """``{word: (cluster,)}`` from a hard model's ``{word: cluster}`` index."""
-    singles = [(j,) for j in range(m)]
-    return {word: singles[j] for word, j in index.items()}
-
-
-def _parts(value, derive):
-    """The stored parts behind ``value`` when ``derive`` made it, else None."""
-    if isinstance(value, _Derived) and value.derive is derive:
-        return value.parts
-    return None
 
 
 # one int object per column number, shared by the word index of every model
@@ -164,100 +107,37 @@ def _floored_log(probabilities) -> np.ndarray:
     return np.log(np.maximum(probabilities, PROB_FLOOR))
 
 
-def _hold_sides(model, default: float) -> None:
-    """Store a ``wbm`` or ``cos`` model's sides as two vectors over one index.
+def _hold_sides(model, index: dict[str, int], default: float) -> None:
+    """Store a model's two sides as rows of one read-only float64 array.
 
-    The positive side's words are the vocabulary.  The negative side is
-    read at those words, ``default`` standing in for a word it lacks
-    (1.0 for ``wbm``, so the word adds nothing to the negative log
-    likelihood; 0.0 for ``cos``), and its other words are dropped; such
-    a model scores, but ``save_model`` refuses it.
+    The array has one more column, of ``default``, for every word
+    ``index`` lacks: 1.0 for a likelihood model, whose log adds nothing,
+    and 0.0 for ``cos``, whose terms are its sides, held once.
     """
-    given = _parts(model.positive, _side), _parts(model.negative, _side)
-    error = None
-    if all(given) and given[0][0] is given[1][0]:  # two vectors over one index
-        (index, positive), (_, negative) = given
-    else:
-        index = _word_index(model.positive)
-        n = len(index)
-        negative = np.fromiter(
-            map(model.negative.get, index, repeat(default)), np.float64, n
-        )
-        if len(model.negative) != n or not all(map(model.negative.__contains__, index)):
-            error = (
-                "the negative side does not hold exactly the words of the "
-                "positive side, so the model file cannot store it"
-            )
-        positive = np.fromiter(model.positive.values(), np.float64, n)
-    n = len(index)
+    n = len(model.positive)
     sides = np.full((2, n + 1), default)
-    sides[0, :n], sides[1, :n] = positive, negative
-    if isinstance(model, CosineModel):  # its terms are its sides: hold them once
-        terms, positive, negative = sides, sides[0, :n], sides[1, :n]
-    else:
-        terms = _floored_log(sides)
-    _set(
-        model,
-        positive=_Derived(_side, index, positive),
-        negative=_Derived(_side, index, negative),
-        _scorer=_Scorer(index, terms),
-        _save_error=error,
-    )
-
-
-def _clustering_view(vocabulary: tuple, column: dict, related, member) -> Clustering:
-    """A Clustering over an m x V member matrix; its assignments are derived when read.
-
-    ``column`` is the vocabulary's ``_word_index``, which a mixture
-    model's scorer reuses.
-    """
-    m = len(member)
-    return Clustering(m, vocabulary, related, _Derived(_assignments, column, member))
-
-
-def _hard_view(vocabulary: tuple, related, m: int, index: dict) -> Clustering:
-    """A Clustering over a ``{word: cluster}`` index, derived when read."""
-    return Clustering(m, vocabulary, related, _Derived(_hard_assignments, index, m))
-
-
-def _membership(clustering: Clustering) -> tuple[Clustering, np.ndarray]:
-    """A clustering as a view over its m x V member matrix, and that matrix."""
-    parts = _parts(clustering.assignments, _assignments)
-    if parts is not None:
-        return clustering, parts[1]
-    parts = _parts(clustering.assignments, _hard_assignments)
-    if parts is not None:
-        index, m = parts
-        vocabulary = clustering.vocabulary
-        ids = np.fromiter(map(index.get, vocabulary, repeat(m)), np.intp, len(vocabulary))
-        return clustering, np.arange(m)[:, None] == ids
-    vocabulary = tuple(clustering.vocabulary)
-    column = _word_index(vocabulary)
-    found = list(map(clustering.assignments.get, vocabulary, repeat(())))
-    sizes = np.fromiter(map(len, found), np.intp, len(found))
-    rows = np.fromiter(chain.from_iterable(found), np.intp, sizes.sum())
-    member = np.zeros((clustering.m, len(found)), bool)
-    member[rows, np.repeat(np.arange(len(found)), sizes)] = True
-    related = clustering.related_categories
-    related = None if related is None else tuple(related)
-    return _clustering_view(vocabulary, column, related, member), member
+    sides[0, :n], sides[1, :n] = model.positive, model.negative
+    sides.setflags(write=False)
+    terms = sides if isinstance(model, CosineModel) else _floored_log(sides)
+    _set(model, positive=sides[0, :n], negative=sides[1, :n])
+    _set(model, _scorer=_Scorer(index, terms))
 
 
 @dataclass(frozen=True, eq=False)
 class WordModel:
     """Per-side smoothed word distributions over a shared vocabulary.
 
-    The sides are read-only ``{word: probability}`` views over two
-    float64 vectors in vocabulary order; see ``_hold_sides`` for sides
-    assembled with different words.
+    ``positive`` and ``negative`` are float64 vectors in vocabulary
+    order.
     """
 
     category: str
-    positive: Mapping[str, float]
-    negative: Mapping[str, float]
+    vocabulary: tuple[str, ...]
+    positive: np.ndarray
+    negative: np.ndarray
 
     def __post_init__(self):
-        _hold_sides(self, 1.0)
+        _hold_sides(self, _word_index(self.vocabulary), 1.0)
 
     def __eq__(self, other):
         return _equal(self, other)
@@ -267,41 +147,27 @@ class WordModel:
 class HardClusterModel:
     """Disjoint clusters with per-side cluster distributions.
 
-    The model stores one cluster per word, as a ``{word: cluster}``
-    index that is also its scorer's; ``clustering`` is a read-only view
-    over it.  A word that an assembled clustering puts in several
-    clusters is read in the first.
+    ``positive`` and ``negative`` are float64 vectors with one entry per
+    cluster.  The scorer's index maps each clustered word to its
+    cluster; a clustering that puts a word in two clusters raises
+    ValueError, as training and ``load_model`` do.
     """
 
     category: str
     clustering: Clustering
-    positive: tuple[float, ...]
-    negative: tuple[float, ...]
+    positive: np.ndarray
+    negative: np.ndarray
     settings: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        clustering = self.clustering
-        parts = _parts(clustering.assignments, _hard_assignments)
-        if parts is None:
-            assignments = clustering.assignments
-            index = dict(zip(assignments, map(itemgetter(0), assignments.values())))
-            related = clustering.related_categories
-            related = None if related is None else tuple(related)
-            vocabulary = tuple(clustering.vocabulary)
-            clustering = _hard_view(vocabulary, related, clustering.m, index)
-        else:
-            index = parts[0]
-        sides = (self.positive, self.negative)
-        positive, negative = (tuple(map(float, side)) for side in sides)
-        terms = _floored_log(((*positive, 1.0), (*negative, 1.0)))
-        _set(
-            self,
-            clustering=clustering,
-            positive=positive,
-            negative=negative,
-            _scorer=_Scorer(index, terms),
-            _save_error=None,
-        )
+        if not self.clustering.is_hard():
+            raise ValueError("a hard-cluster model needs disjoint clusters")
+        member = self.clustering.member
+        known = member.any(axis=0)
+        # the clusters are disjoint, so this is each clustered word's cluster
+        ids = (np.arange(len(member)) @ member)[known]
+        words = compress(self.clustering.vocabulary, known.tolist())
+        _hold_sides(self, dict(zip(words, ids.tolist())), 1.0)
 
     def __eq__(self, other):
         return _equal(self, other)
@@ -311,75 +177,42 @@ class HardClusterModel:
 class MixtureModel:
     """Shared cluster word distributions, per-side mixture weights.
 
-    ``clustering`` is a read-only view over an m x V member matrix, and
-    ``cluster_words[j]`` one over cluster j's member probabilities, a
-    float64 vector in vocabulary order.  Cluster j's probabilities are
-    read at its members, 0.0 standing in for a member the given mapping
-    lacks; a model assembled with other words scores, but ``save_model``
-    refuses it.
+    ``cluster_words[j]`` is cluster j's vector of member probabilities,
+    in vocabulary order, and the two thetas hold one weight per cluster;
+    all are float64 vectors.
     """
 
     category: str
     clustering: Clustering
-    cluster_words: tuple[Mapping[str, float], ...]
-    positive_theta: tuple[float, ...]
-    negative_theta: tuple[float, ...]
+    cluster_words: tuple[np.ndarray, ...]
+    positive_theta: np.ndarray
+    negative_theta: np.ndarray
     settings: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        clustering, member = _membership(self.clustering)
-        vocabulary = clustering.vocabulary
-        m = len(member)
-        error = None
-        if len(self.cluster_words) != m:
-            error = (
-                f"the model has {len(self.cluster_words)} cluster_words "
-                f"for {m} clusters, so the model file cannot store it"
-            )
-        values = []
-        for j, (dist, row) in enumerate(zip(self.cluster_words, member)):
-            parts = _parts(dist, _cluster_words)
-            if parts and parts[0] is vocabulary and np.array_equal(parts[1], row):
-                values.append(parts[2])
-                continue
-            words = list(compress(vocabulary, row.tolist()))
-            if list(dist) == words:  # the members in order, as training gives them
-                found = dist.values()
-            else:
-                found = map(dist.get, words, repeat(0.0))
-                if len(dist) != len(words) or not all(map(dist.__contains__, words)):
-                    error = error or (
-                        f"cluster_words[{j}] does not hold exactly the members of "
-                        f"cluster {j}, so the model file cannot store it"
-                    )
-            values.append(np.fromiter(found, np.float64, len(words)))
-        sides = (self.positive_theta, self.negative_theta)
-        thetas = [tuple(map(float, side)) for side in sides]
-        theta = np.array(thetas)
+        member, vocabulary = self.clustering.member, self.clustering.vocabulary
+        cluster_words = tuple(np.asarray(v, np.float64) for v in self.cluster_words)
+        for vector in cluster_words:
+            vector.setflags(write=False)
+        theta = np.array((self.positive_theta, self.negative_theta), np.float64)
+        theta.setflags(write=False)
         mixture = np.zeros((2, len(vocabulary) + 1))
-        for j, (row, probabilities) in enumerate(zip(member, values)):
+        for j, (row, probabilities) in enumerate(zip(member, cluster_words, strict=True)):
             cluster = np.zeros(mixture.shape[1])
             cluster[:-1][row] = probabilities
             # elementwise and in cluster order, as the mixture always was
             mixture += theta[:, j, None] * cluster
-        cluster_words = tuple(
-            _Derived(_cluster_words, vocabulary, row, probabilities)
-            for row, probabilities in zip(member, values)
-        )
         # the vocabulary's index, less the words no cluster holds
-        parts = _parts(clustering.assignments, _assignments)
-        index = _word_index(vocabulary) if parts is None else parts[0]
+        index = _word_index(vocabulary)
         known = member.any(axis=0)
         if not known.all():
             index = dict(compress(index.items(), known.tolist()))
         _set(
             self,
-            clustering=clustering,
             cluster_words=cluster_words,
-            positive_theta=thetas[0],
-            negative_theta=thetas[1],
+            positive_theta=theta[0],
+            negative_theta=theta[1],
             _scorer=_Scorer(index, _floored_log(mixture)),
-            _save_error=error,
         )
 
     def __eq__(self, other):
@@ -390,16 +223,17 @@ class MixtureModel:
 class CosineModel:
     """Raw per-side word frequencies over a shared vocabulary.
 
-    The sides are stored as ``WordModel``'s are.  ``norms`` is computed
-    on first use and then kept.
+    The sides are float64 vectors, as ``WordModel``'s are.  ``norms`` is
+    computed on first use and then kept.
     """
 
     category: str
-    positive: Mapping[str, float]
-    negative: Mapping[str, float]
+    vocabulary: tuple[str, ...]
+    positive: np.ndarray
+    negative: np.ndarray
 
     def __post_init__(self):
-        _hold_sides(self, 0.0)
+        _hold_sides(self, _word_index(self.vocabulary), 0.0)
 
     def __eq__(self, other):
         return _equal(self, other)
@@ -413,7 +247,7 @@ class CosineModel:
         """
         # sides hold whole counts once trained, and a sum of squared whole
         # counts is exact, so hypot gives what sqrt(p @ p) gives
-        sides = (self.positive.parts[1], self.negative.parts[1])
+        sides = (self.positive, self.negative)
         norms = tuple(math.hypot(*side.tolist()) for side in sides)
         for name, norm in zip(("positive", "negative"), norms):
             if not norm:
@@ -428,21 +262,12 @@ def _bits(values) -> bytes:
 def _contents(model) -> tuple:
     """What ``==`` compares: every field, with vectors by their bits."""
     if isinstance(model, (WordModel, CosineModel)):
-        index, positive = model.positive.parts
-        negative = model.negative.parts[1]
-        return model.category, list(index), _bits(positive), _bits(negative)
-    clustering, member = _membership(model.clustering)
-    common = (
-        model.category,
-        model.settings,
-        clustering.vocabulary,
-        clustering.related_categories,
-        member.shape,
-        member.tobytes(),
-    )
+        sides = _bits(model.positive), _bits(model.negative)
+        return model.category, model.vocabulary, *sides
+    common = model.category, model.settings, model.clustering
     if isinstance(model, HardClusterModel):
         return *common, _bits(model.positive), _bits(model.negative)
-    values = tuple(_bits(dist.parts[2]) for dist in model.cluster_words)
+    values = tuple(map(_bits, model.cluster_words))
     return *common, values, _bits(model.positive_theta), _bits(model.negative_theta)
 
 
@@ -501,14 +326,13 @@ def train_wbm(
     """
     table = _pools(corpus, category, positive_only)
     vocab = table.vocabulary
-    index, n = _word_index(vocab), len(vocab)
     positive, negative = (
-        _Derived(_side, index, np.fromiter(dist.values(), np.float64, n))
+        np.fromiter(dist.values(), np.float64, len(vocab))
         for dist in (
             ele_distribution(dict(zip(vocab, row))) for row in table.matrix.tolist()
         )
     )
-    return WordModel(category, positive, negative)
+    return WordModel(category, vocab, positive, negative)
 
 
 def train_hcm(
@@ -588,11 +412,12 @@ def train_fmm(
             raise TrainingError(
                 f"cluster related to {related!r} is empty at gamma={gamma}"
             ) from err
-    assigned, vocab = clustering.assignments, table.vocabulary
+    clustered = clustering.member.any(axis=0).tolist()
     results = []
     rows = zip(("positive", "negative"), table.categories, table.matrix.tolist())
     for side, name, row in rows:
-        counts = {w: f for w, f in zip(vocab, row) if f > 0 and w in assigned}
+        pairs = compress(zip(table.vocabulary, row), clustered)
+        counts = {w: f for w, f in pairs if f > 0}
         if not counts:
             raise TrainingError(
                 f"the {side} side ({name!r}) has no usable tokens "
@@ -611,24 +436,11 @@ def train_fmm(
         "em_iterations": [pos.iterations, neg.iterations],
         "em_converged": [pos.converged, neg.converged],
     }
-    # each cluster's distribution holds exactly its members, in vocabulary
-    # order, so one pass over it gives both its member row and its vector
-    vocabulary = clustering.vocabulary
-    column = _word_index(vocabulary)
-    member = np.zeros((clustering.m, len(vocabulary)), bool)
-    views = []
-    for row, dist in zip(member, cluster_words):
-        row[np.fromiter(map(column.__getitem__, dist), np.intp, len(dist))] = True
-        values = np.fromiter(dist.values(), np.float64, len(dist))
-        views.append(_Derived(_cluster_words, vocabulary, row, values))
-    return MixtureModel(
-        category,
-        _clustering_view(vocabulary, column, clustering.related_categories, member),
-        tuple(views),
-        pos.theta,
-        neg.theta,
-        settings,
+    # each cluster's distribution holds exactly its members, in vocabulary order
+    vectors = tuple(
+        np.fromiter(dist.values(), np.float64, len(dist)) for dist in cluster_words
     )
+    return MixtureModel(category, clustering, vectors, pos.theta, neg.theta, settings)
 
 
 def train_cos(
@@ -636,10 +448,8 @@ def train_cos(
 ) -> CosineModel:
     """Raw frequency vectors for the category and its complement."""
     table = _pools(corpus, category, positive_only)
-    index = _word_index(table.vocabulary)
-    sides = table.matrix.astype(np.float64)
-    positive, negative = (_Derived(_side, index, side) for side in sides)
-    return CosineModel(category, positive, negative)
+    positive, negative = table.matrix.astype(np.float64)
+    return CosineModel(category, table.vocabulary, positive, negative)
 
 
 class DocTermTable(NamedTuple):
@@ -876,18 +686,13 @@ def save_model(model, path, header: str = "") -> None:
     reproduces the original's decisions bit for bit; cluster membership
     is one packed bit matrix.  ``header``, written first in the same
     pass, must be ``#`` lines, each ending in a newline, which
-    ``load_model`` skips.  A model assembled with sides or
-    ``cluster_words`` that do not hold its vocabulary or its clusters'
-    members exactly cannot be written and raises ValueError naming
-    them; no trained model is one.
+    ``load_model`` skips.
     """
     if _HEADER.fullmatch(header) is None:
         raise ValueError(
             "a model file header must be '#' lines, each ending in a newline"
         )
     method = method_of(model)
-    if model._save_error is not None:
-        raise ValueError(model._save_error)
     payload: dict = {
         "schema_version": _SCHEMA_VERSION,
         "method": method,
@@ -895,24 +700,21 @@ def save_model(model, path, header: str = "") -> None:
         "settings": dict(getattr(model, "settings", {})),
     }
     if method in ("wbm", "cos"):
-        index, positive = model.positive.parts
-        payload["vocabulary"] = list(index)
-        payload["positive"] = _encode(positive)
-        payload["negative"] = _encode(model.negative.parts[1])
+        payload["vocabulary"] = list(model.vocabulary)
+        payload["positive"] = _encode(model.positive)
+        payload["negative"] = _encode(model.negative)
     else:
-        clustering, member = _membership(model.clustering)
+        clustering = model.clustering
         related = clustering.related_categories
         payload["vocabulary"] = list(clustering.vocabulary)
         payload["clusters"] = clustering.m
         payload["related_categories"] = None if related is None else list(related)
-        payload["members"] = _base64(np.packbits(member, axis=1).tobytes())
+        payload["members"] = _base64(np.packbits(clustering.member, axis=1).tobytes())
         if method == "hcm":
             payload["positive"] = _encode(model.positive)
             payload["negative"] = _encode(model.negative)
         else:
-            payload["cluster_words"] = [
-                _encode(dist.parts[2]) for dist in model.cluster_words
-            ]
+            payload["cluster_words"] = list(map(_encode, model.cluster_words))
             payload["positive_theta"] = _encode(model.positive_theta)
             payload["negative_theta"] = _encode(model.negative_theta)
     with open(path, "w", encoding="utf-8") as handle:
@@ -1043,9 +845,8 @@ def load_model(path):
         for name, side in zip(("positive", "negative"), sides):
             if method == "cos" and not side.any():
                 raise ValueError(f"model field {name!r} is all zero")
-        index = _word_index(vocab)
         kind = WordModel if method == "wbm" else CosineModel
-        return kind(category, *(_Derived(_side, index, side) for side in sides))
+        return kind(category, vocab, *sides)
     m = payload.get("clusters")
     if type(m) is not int or m < 0:
         raise ValueError("model field 'clusters' must be a non-negative integer")
@@ -1066,21 +867,13 @@ def load_model(path):
             _distribution(_field(payload, name, str), name, m, "cluster")
             for name in ("positive", "negative")
         ]
-        member = _members(payload, m, len(vocab))
-        if member.sum(axis=0).max(initial=0) > 1:
+        clustering = Clustering(vocab, related, _members(payload, m, len(vocab)))
+        if not clustering.is_hard():
             raise ValueError(
                 "model field 'members' overlaps; "
                 "a hard-cluster model needs disjoint clusters"
             )
-        # each word's first cluster; the row of ones gives m to words in none
-        rows = np.ones((m + 1, len(vocab)), bool)
-        rows[:m] = member
-        ids = rows.argmax(axis=0)
-        known = ids < m
-        index = dict(zip(compress(vocab, known.tolist()), ids[known].tolist()))
-        clustering = _hard_view(vocab, related, m, index)
-        positive, negative = (tuple(side.tolist()) for side in sides)
-        return HardClusterModel(category, clustering, positive, negative, settings)
+        return HardClusterModel(category, clustering, *sides, settings)
     encoded = _field(payload, "cluster_words", list)
     if len(encoded) != m:
         raise ValueError(
@@ -1097,14 +890,6 @@ def load_model(path):
         _distribution(text, f"cluster_words[{j}]", size, f"member of cluster {j}")
         for j, (text, size) in enumerate(zip(encoded, sizes))
     ]
-    cluster_words = tuple(
-        _Derived(_cluster_words, vocab, row, probabilities)
-        for row, probabilities in zip(member, dists)
-    )
     return MixtureModel(
-        category,
-        _clustering_view(vocab, _word_index(vocab), related, member),
-        cluster_words,
-        *(tuple(theta.tolist()) for theta in thetas),
-        settings,
+        category, Clustering(vocab, related, member), tuple(dists), *thetas, settings
     )

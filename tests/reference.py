@@ -5,13 +5,17 @@ cell or one sum at a time, so the tests can state per-word facts
 without the library keeping a per-word view of its counts.
 ``contingency`` and ``micro_pr`` pool decisions one (document,
 category) pair at a time: the sweep's counts off one sort must agree
-with them.  ``from_member_sets`` builds a ``Clustering`` one member at
-a time, the reference for ``from_member_matrix``.
+with them.  ``from_member_sets`` builds a ``Clustering``'s member matrix
+one member at a time, and ``sides`` and ``cluster_dicts`` read a
+model's vectors as word-keyed dicts.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from mixcat import (
     Clustering,
@@ -71,22 +75,46 @@ def clusters_of(clustering, word: str) -> tuple[int, ...]:
 
 
 def from_member_sets(clusters, vocabulary, related_categories) -> Clustering:
-    """Assemble a Clustering from explicit member sets.
+    """Assemble a Clustering from explicit member sets, one member at a time.
 
-    Derives the assignment map; vocabulary words outside every cluster
-    are discarded, other members ignored.
+    Vocabulary words outside every cluster are discarded, other members
+    ignored.
     """
-    clusters = tuple(clusters)
-    ids: dict[str, tuple[int, ...]] = {}
+    clusters, vocabulary = tuple(clusters), tuple(vocabulary)
+    member = np.zeros((len(clusters), len(vocabulary)), bool)
     for j, members in enumerate(clusters):
-        single = (j,)  # shared by every word found in cluster j alone
-        for word in members:
-            ids[word] = ids[word] + single if word in ids else single
+        for i, word in enumerate(vocabulary):
+            member[j, i] = word in members
     return Clustering(
-        len(clusters),
-        tuple(vocabulary),
+        vocabulary,
         tuple(related_categories) if related_categories is not None else None,
-        {w: ids[w] for w in vocabulary if w in ids},
+        member,
+    )
+
+
+def sides(model) -> tuple[dict[str, float], dict[str, float]]:
+    """A ``wbm`` or ``cos`` model's two sides as ``{word: value}`` dicts."""
+    return tuple(
+        dict(zip(model.vocabulary, side.tolist()))
+        for side in (model.positive, model.negative)
+    )
+
+
+def cluster_dicts(model) -> tuple[dict[str, float], ...]:
+    """An ``fmm`` model's cluster word distributions as ``{member: probability}``."""
+    vocabulary = model.clustering.vocabulary
+    return tuple(
+        dict(zip(compress(vocabulary, row), values.tolist()))
+        for row, values in zip(model.clustering.member.tolist(), model.cluster_words)
+    )
+
+
+def cluster_vectors(clustering, cluster_words) -> tuple[list[float], ...]:
+    """``{member: probability}`` dicts as the vectors an ``fmm`` model holds:
+    each cluster's values at its members, in vocabulary order."""
+    return tuple(
+        [dist[w] for w in compress(clustering.vocabulary, row)]
+        for row, dist in zip(clustering.member.tolist(), cluster_words)
     )
 
 

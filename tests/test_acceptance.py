@@ -40,7 +40,7 @@ from mixcat import (
     train_hcm,
     train_wbm,
 )
-from reference import from_member_sets
+from reference import cluster_vectors, from_member_sets
 
 LN2 = math.log(2.0)
 
@@ -165,8 +165,9 @@ def test_criterion_3_mixture_likelihoods_and_decision(binary_table):
         {"racket": 0.44, "stroke": 0.11, "shot": 0.22, "ball": 0.22},
         {"goal": 0.50, "kick": 0.25, "ball": 0.25},
     )
+    rounded_vectors = cluster_vectors(clustering, rounded_words)
     model = MixtureModel(
-        "c1", clustering, rounded_words, (0.86, 0.14), (0.04, 0.96)
+        "c1", clustering, rounded_vectors, (0.86, 0.14), (0.04, 0.96)
     )
     logl_pos, logl_neg, n_eff = doc_log_likelihood(model, DOC)
     assert n_eff == 4
@@ -183,7 +184,7 @@ def test_criterion_3_mixture_likelihoods_and_decision(binary_table):
             clustering.vocabulary,
             ("c2", "~c2"),
         ),
-        rounded_words,
+        rounded_vectors,
         (0.04, 0.96),
         (0.86, 0.14),
     )
@@ -260,14 +261,14 @@ def test_criterion_4_reduction_equivalences():
         corpus = parse_corpus(lines)
         category = str(rng.choice(corpus.categories))
         word_model = train_wbm(corpus, category)
-        vocab = tuple(word_model.positive)
+        vocab = word_model.vocabulary
         both_sides = from_member_sets(
             [set(vocab), set(vocab)], vocab, (category, "~" + category)
         )
         mixture = MixtureModel(
             category,
             both_sides,
-            (dict(word_model.positive), dict(word_model.negative)),
+            (word_model.positive, word_model.negative),
             (1.0, 0.0),
             (0.0, 1.0),
         )

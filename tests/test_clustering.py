@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixcat import (
+    Clustering,
     cluster_frequencies,
     count_frequencies,
     count_pools,
@@ -17,7 +18,6 @@ from mixcat import (
     rank_clusters,
     soft_clusters,
 )
-from mixcat.clustering import from_member_matrix
 from reference import (
     cluster_total,
     clusters_of,
@@ -218,6 +218,17 @@ class TestDistributedFrequencies:
         with pytest.raises(ValueError, match="category-related"):
             distribute_frequencies(binary_table, clustering)
 
+    def test_stages_refuse_a_clustering_over_another_vocabulary(self, binary_table):
+        """Both stages read the member matrix by column, so the columns
+        must be the table's words in the table's order."""
+        clustering = soft_clusters(binary_table, 0.4)
+        vocabulary = clustering.vocabulary
+        for other in (vocabulary[::-1], vocabulary[:-1] + ("comet",)):
+            moved = Clustering(other, clustering.related_categories, clustering.member)
+            for stage in (cluster_frequencies, distribute_frequencies):
+                with pytest.raises(ValueError, match="not over the table's vocabulary"):
+                    stage(binary_table, moved)
+
 
 class TestFromMemberSets:
     def test_rebuild_matches_original(self, binary_table):
@@ -259,28 +270,51 @@ class TestFromMemberSets:
         )
 
 
-class TestFromMemberMatrix:
-    @given(
-        # past 64 clusters a membership pattern no longer fits one integer
-        rows=st.one_of(st.integers(0, 4), st.integers(63, 66)).flatmap(
-            lambda m: st.lists(st.lists(st.booleans(), min_size=m, max_size=m), max_size=12)
-        ),
-        related=st.booleans(),
+def _member_matrices():
+    """m x V boolean matrices, m in 0-4 and 63-66, V up to 12."""
+    clusters = st.one_of(st.integers(0, 4), st.integers(63, 66))
+    return st.tuples(clusters, st.integers(0, 12)).flatmap(
+        lambda shape: st.lists(
+            st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)
+        ).map(lambda bits: np.array(bits, bool).reshape(shape))
     )
-    def test_matches_the_member_set_reference(self, rows, related):
-        vocabulary = tuple(f"w{i}" for i in range(len(rows)))
-        m = len(rows[0]) if rows else 0
-        member = np.array(rows, dtype=bool).reshape(len(rows), m).T
+
+
+class TestMemberMatrix:
+    @given(member=_member_matrices(), related=st.booleans())
+    def test_matches_the_member_set_reference(self, member, related):
+        m, n = member.shape
+        vocabulary = tuple(f"w{i}" for i in range(n))
         categories = tuple(f"c{j}" for j in range(m)) if related else None
-        clusters = [{w for w, bit in zip(vocabulary, row) if bit} for row in member]
-        built = from_member_matrix(member, vocabulary, categories)
-        expected = from_member_sets(clusters, vocabulary, categories)
-        assert built == expected
-        assert list(built.assignments) == list(expected.assignments)
-        # words with one membership pattern share one index tuple
-        by_pattern = {}
-        for ids in built.assignments.values():
-            assert by_pattern.setdefault(ids, ids) is ids
+        rows = member.tolist()
+        clusters = [frozenset(w for w, bit in zip(vocabulary, row) if bit) for row in rows]
+        expected = {}
+        for word in vocabulary:
+            ids = tuple(j for j, members in enumerate(clusters) if word in members)
+            if ids:
+                expected[word] = ids
+        clustering = Clustering(vocabulary, categories, member)
+        assert clustering.m == m
+        assert list(clustering.assignments.items()) == list(expected.items())
+        assert clustering.clusters == tuple(clusters)
+        assert clustering.discarded == frozenset(vocabulary) - expected.keys()
+        assert clustering.is_hard() is all(len(ids) == 1 for ids in expected.values())
+        assert clustering == from_member_sets(clusters, vocabulary, categories)
+
+    def test_equality_reads_vocabulary_categories_shape_and_bits(self):
+        clustering = from_member_sets([{"a"}, {"b"}], "ab", "cd")
+        assert clustering == from_member_sets([{"a"}, {"b"}], "ab", "cd")
+        assert clustering != from_member_sets([{"a"}, {"a", "b"}], "ab", "cd")
+        assert clustering != from_member_sets([{"a"}, {"b"}], "ab", None)
+        assert clustering != from_member_sets([{"a"}, {"b"}], "abx", "cd")
+        assert clustering != from_member_sets([{"a"}, {"b"}, set()], "ab", "cde")
+        assert clustering != from_member_sets([{"a"}, {"b"}], "ba", "cd")
+
+    def test_member_matrix_is_read_only(self, binary_table):
+        clusterings = soft_clusters(binary_table, 0.4), rank_clusters(binary_table, 1, 1)
+        for clustering in clusterings:
+            with pytest.raises(ValueError, match="read-only"):
+                clustering.member[0, 0] = True
 
 
 # The per-word loops the stages ran before they worked over the count

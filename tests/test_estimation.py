@@ -334,8 +334,13 @@ class TestEmFit:
         with pytest.raises(ValueError, match="component count"):
             em_fit([K1, K2], POOL_POS, cfg)
 
-    def test_initial_theta_must_be_a_distribution(self):
-        cfg = EmConfig(initial_theta=(0.9, 0.3))
+    @pytest.mark.parametrize(
+        "theta",
+        [(0.9, 0.3), (math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)],
+        ids=["sum", "nan", "nan-and-one", "infinite"],
+    )
+    def test_initial_theta_must_be_a_distribution(self, theta):
+        cfg = EmConfig(initial_theta=theta)
         with pytest.raises(ValueError, match="distribution"):
             em_fit([K1, K2], POOL_POS, cfg)
 
@@ -369,6 +374,9 @@ class TestEmFit:
             {"eta": 1.5},
             {"max_iterations": 0},
             {"tolerance": 0.0},
+            {"eta": math.nan},
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -32,6 +32,7 @@ from mixcat import (
     train_wbm,
 )
 from mixcat.models import threshold_outcome
+from reference import cluster_dicts, sides
 
 TOLERANCE = 1e-12
 EPSILONS = (0.0, 0.05, 0.3)
@@ -55,14 +56,15 @@ def _reference_log_mixture(counts, probs, theta):
 
 def reference_log_likelihood(model, tokens):
     if isinstance(model, WordModel):
-        counter = Counter(t for t in tokens if t in model.positive)
+        positive, negative = sides(model)
+        counter = Counter(t for t in tokens if t in positive)
         if not counter:
             return 0.0, 0.0, 0
         words = list(counter)
         counts = [counter[w] for w in words]
         pos, neg = (
             _reference_log_mixture(counts, [[side[w] for w in words]], (1.0,))
-            for side in (model.positive, model.negative)
+            for side in (positive, negative)
         )
         return pos, neg, sum(counts)
     if isinstance(model, HardClusterModel):
@@ -82,7 +84,7 @@ def reference_log_likelihood(model, tokens):
         return 0.0, 0.0, 0
     words = list(counter)
     counts = [counter[w] for w in words]
-    rows = [[dist.get(w, 0.0) for w in words] for dist in model.cluster_words]
+    rows = [[dist.get(w, 0.0) for w in words] for dist in cluster_dicts(model)]
     pos = _reference_log_mixture(counts, rows, model.positive_theta)
     neg = _reference_log_mixture(counts, rows, model.negative_theta)
     return pos, neg, sum(counts)
@@ -91,13 +93,14 @@ def reference_log_likelihood(model, tokens):
 def reference_score(model, tokens):
     if isinstance(model, CosineModel):
         counter = Counter(tokens)
-        doc = np.array([counter.get(w, 0) for w in model.positive], dtype=np.float64)
+        positive, negative = sides(model)
+        doc = np.array([counter.get(w, 0) for w in positive], dtype=np.float64)
         norm = float(np.linalg.norm(doc))
         if norm == 0.0:
             return None
         score = 0.0
-        for sign, side in ((1.0, model.positive), (-1.0, model.negative)):
-            vec = np.array([side[w] for w in model.positive], dtype=np.float64)
+        for sign, side in ((1.0, positive), (-1.0, negative)):
+            vec = np.array([side[w] for w in positive], dtype=np.float64)
             score += sign * float(doc @ vec) / (norm * float(np.linalg.norm(vec)))
         return score
     pos, neg, n_eff = reference_log_likelihood(model, tokens)
