@@ -9,7 +9,6 @@ micro-averaged precision/recall harness with break-even reporting.
 
 from mixcat.clustering import (
     Clustering,
-    DistributedFrequencies,
     distribute_frequencies,
     rank_clusters,
     soft_clusters,
@@ -34,8 +33,6 @@ from mixcat.estimation import (
     ele_distribution,
     em_fit,
     em_step,
-    gradient,
-    log_likelihood,
     mle_distribution,
     mle_word_distribution,
 )
@@ -82,7 +79,6 @@ __all__ = [
     "CosineModel",
     "CurvePoint",
     "Decision",
-    "DistributedFrequencies",
     "EmConfig",
     "EmResult",
     "FrequencyTable",
@@ -109,9 +105,7 @@ __all__ = [
     "ele_distribution",
     "em_fit",
     "em_step",
-    "gradient",
     "load_model",
-    "log_likelihood",
     "method_of",
     "mle_distribution",
     "mle_word_distribution",

@@ -15,14 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from mixcat.counts import FrequencyTable
-
-if TYPE_CHECKING:  # only an uneven split builds one; see distribute_frequencies
-    from fractions import Fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,55 +135,42 @@ def rank_clusters(table: FrequencyTable, top_l: int, top_m: int) -> Clustering:
     return Clustering(vocabulary, None, member)
 
 
-@dataclass(frozen=True)
-class DistributedFrequencies:
-    """Per-cluster word frequencies as exact integer counts.
-
-    For every assigned word the cluster shares sum back to the word's
-    total count.  Only an uneven split makes a ``Fraction``; the binary
-    protocol never does.  Rounding happens once, in the estimators.
-    """
-
-    cluster_words: tuple[dict[str, int | Fraction], ...]
-
-
-def distribute_frequencies(
-    table: FrequencyTable, clustering: Clustering
-) -> DistributedFrequencies:
+def distribute_frequencies(table: FrequencyTable, clustering: Clustering) -> np.ndarray:
     """Spread each word's total count over the clusters holding it.
 
-    A word in a single cluster keeps its full count there.  A word in
-    several clusters is split in proportion to its frequency in each
-    cluster's related category, which is why this operation requires a
-    threshold-scheme clustering over the table's vocabulary, in its
-    order.
+    Returns a read-only m x V matrix: row j holds cluster j's share of
+    each word, 0 for a non-member.  A word in a single cluster keeps its
+    full count there.  A word in several clusters is split in proportion
+    to its frequency in each cluster's related category, which is why
+    this operation requires a threshold-scheme clustering over the
+    table's vocabulary, in its order.  The matrix is int64 unless some
+    split is uneven, which only a table of three or more categories can
+    have: it is then an object array of Python ints and exact
+    ``Fraction``s.  Rounding happens once, in the estimators.
     """
     if clustering.related_categories is None:
         raise ValueError("frequency distribution needs category-related clusters")
     if clustering.vocabulary != table.vocabulary:
         raise ValueError("the clustering is not over the table's vocabulary")
-    vocabulary, member = table.vocabulary, clustering.member
+    member = clustering.member
     order = [table.categories.index(c) for c in clustering.related_categories]
-    related = table.matrix[order]
-    denominators = np.where(member, related, 0).sum(axis=0)
-    split = member.sum(axis=0) > 1
-    # Python ints from here on: total * weight may exceed the int64 range
-    totals = table.matrix.sum(axis=0).tolist()
-    rows: list[dict[str, int | Fraction]] = []
-    for j, row in enumerate(member):
-        bits = row.tolist()
-        # members in vocabulary order, each with its full count until split
-        words = dict(zip(compress(vocabulary, bits), compress(totals, bits)))
-        for column in np.flatnonzero(row & split).tolist():
-            total, weight = totals[column], related[j, column].item()
-            denominator = denominators[column].item()
-            # assignment implies a positive count in the related category
-            assert weight > 0, (vocabulary[column], j)
-            share, rest = divmod(total * weight, denominator)
-            if rest:
-                from fractions import Fraction  # kept off the import path
+    weights = np.where(member, table.matrix[order], 0)
+    totals = table.matrix.sum(axis=0)
+    shares = np.where(member, totals, 0)
+    split = np.flatnonzero(member.sum(axis=0) > 1)
+    if split.size:
+        # assignment implies a positive count in the related category
+        assert (weights[:, split] > 0)[member[:, split]].all()
+        # Python ints: total * weight may exceed the int64 range
+        products = weights[:, split].astype(object) * totals[split].astype(object)
+        denominators = weights[:, split].astype(object).sum(axis=0)
+        shares[:, split] = products // denominators
+        uneven = np.argwhere(products % denominators != 0).tolist()
+        if uneven:
+            from fractions import Fraction  # kept off the import path
 
-                share = Fraction(total * weight, denominator)
-            words[vocabulary[column]] = share
-        rows.append(words)
-    return DistributedFrequencies(tuple(rows))
+            shares = shares.astype(object)
+            for j, k in uneven:
+                shares[j, split[k]] = Fraction(products[j, k], denominators[k])
+    shares.setflags(write=False)
+    return shares

@@ -75,19 +75,15 @@ def _table(cells: Mapping[str, Counter], vocabulary: tuple[str, ...]) -> Frequen
     return FrequencyTable(tuple(cells), vocabulary, matrix)
 
 
-def cluster_frequencies(table: FrequencyTable, clustering) -> dict[tuple[str, int], int]:
+def cluster_frequencies(table: FrequencyTable, clustering) -> np.ndarray:
     """Aggregate word counts into cluster counts.
 
-    Returns f(k|c) for every (category, cluster index) pair, where a
-    cluster's count is the sum of its member words' counts in that
-    category.  Words the clustering discarded contribute nowhere.
-    ``clustering`` must be over the table's vocabulary, in its order.
+    Returns the C x m int64 matrix of f(k|c): row i is the table's
+    category i, column j cluster j, and a cluster's count is the sum of
+    its member words' counts in that category.  Words the clustering
+    discarded contribute nowhere.  ``clustering`` must be over the
+    table's vocabulary, in its order.
     """
     if clustering.vocabulary != table.vocabulary:
         raise ValueError("the clustering is not over the table's vocabulary")
-    sums = (table.matrix @ clustering.member.T).tolist()
-    return {
-        (category, j): sums[i][j]
-        for j in range(clustering.m)
-        for i, category in enumerate(table.categories)
-    }
+    return table.matrix @ clustering.member.T

@@ -3,11 +3,12 @@
 Covers the three estimation jobs the models need: additive smoothing
 for cluster-given-category distributions, exact maximum-likelihood
 normalization within clusters, and an exponentiated-gradient EM loop
-for mixture weights.
+for mixture weights.  Each takes count arrays and returns float64
+vectors.
 
-Counts are exact integers and each probability is rounded once, by
-Python's correctly rounded ``int / int``; a ``Fraction`` count (an
-uneven split over clusters) stays exact.
+Counts are exact integers and each probability is rounded once, in the
+estimator's one division; a ``Fraction`` count (an uneven split over
+clusters) stays exact until then.
 
 The EM update is ``theta_j <- theta_j * (eta * (grad_j - 1) + 1)``
 with a learning rate ``eta`` in (0, 1]; ``eta = 1`` is the classic EM
@@ -20,95 +21,53 @@ most 1 keeps every component nonnegative.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mixcat.clustering import DistributedFrequencies
+
+def _nonnegative(counts) -> np.ndarray:
+    f = np.asarray(counts)
+    if (f < 0).any():
+        raise ValueError("negative count in distribution estimate")
+    return f
 
 
-def ele_distribution(counts: Mapping) -> dict:
+def ele_distribution(counts) -> np.ndarray:
     """Additively smoothed distribution: (f + 1/2) / (F + m/2).
 
-    ``m`` is the number of outcomes, taken to be exactly the keys of
-    ``counts``; callers wanting smoothing over a wider support must
-    pass explicit zero entries.  Computed as ``(2f + 1) / (2F + m)`` on
-    the counts as given: integer counts give the correctly rounded
-    float of each exact ratio, ``Fraction`` counts give exact
-    ``Fraction``s.  Defined even when every count is zero (gives the
-    uniform distribution).
+    ``counts`` is a 1-D array with one count per outcome, so ``m`` is
+    its length; an outcome absent from it is no outcome.  Computed as
+    ``(2f + 1) / (2F + m)`` and returned as float64: int64 counts below
+    2**53 give the correctly rounded float of each exact ratio, as
+    Python's ``int / int`` does, and an object array of Python ints and
+    ``Fraction``s stays exact until the one rounding to float64.
+    Defined even when every count is zero (gives the uniform
+    distribution).
     """
-    if not counts:
+    f = _nonnegative(counts)
+    if not len(f):
         raise ValueError("cannot smooth an empty count table")
-    if min(counts.values()) < 0:
-        raise ValueError("negative count in distribution estimate")
-    denom = 2 * sum(counts.values()) + len(counts)
-    # one division per distinct count; keys with equal counts share its value
-    values = {f: (2 * f + 1) / denom for f in set(counts.values())}
-    return {key: values[f] for key, f in counts.items()}
+    return np.asarray((2 * f + 1) / (2 * f.sum() + len(f)), np.float64)
 
 
-def mle_distribution(freqs: Mapping) -> dict:
-    """Relative-frequency distribution ``f / F``.
+def mle_distribution(freqs) -> np.ndarray:
+    """Relative-frequency distribution ``f / F`` of a 1-D count array.
 
-    Integer frequencies give the correctly rounded float of each exact
-    ratio; ``Fraction`` frequencies give exact ``Fraction``s.  Raises
-    if the total mass is zero: an empty cluster has no conditional
-    word distribution.
+    Rounds as ``ele_distribution`` does.  Raises if the total mass is
+    zero: an empty cluster has no conditional word distribution.
     """
-    if min(freqs.values(), default=0) < 0:
-        raise ValueError("negative frequency in distribution estimate")
-    total = sum(freqs.values())
+    f = _nonnegative(freqs)
+    total = f.sum()
     if total == 0:
         raise ValueError("cannot normalize a zero-mass frequency table")
-    # one division per distinct frequency; keys with equal ones share its value
-    values = {f: f / total for f in set(freqs.values())}
-    return {key: values[f] for key, f in freqs.items()}
+    return np.asarray(f / total, np.float64)
 
 
-def mle_word_distribution(freqs: DistributedFrequencies, cluster: int) -> dict:
-    """Word distribution of one cluster from its distributed frequencies."""
-    return mle_distribution(freqs.cluster_words[cluster])
-
-
-def pack_tokens(
-    tokens: Iterable[str], dists: Sequence[Mapping[str, object]]
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Collapse a token sequence into per-type counts and a component
-    probability matrix.
-
-    Aggregating by word type with multiplicity leaves every per-token
-    sum unchanged while making the arithmetic order deterministic.
-    Token types keep first-appearance order.  ``tokens`` may also be a
-    ``{word: count}`` mapping, whose counts must be positive; its key
-    order is the type order.  Every type must have positive probability
-    under at least one component, otherwise no weight assignment can
-    explain it; such tokens are a caller error (drop them upstream).
-    """
-    if not dists:
-        raise ValueError("need at least one mixture component")
-    counter = Counter(tokens)
-    if not counter:
-        raise ValueError("no tokens to estimate from")
-    for word, count in counter.items():
-        if count <= 0:
-            raise ValueError(f"token {word!r} has non-positive count {count}")
-    words = list(counter)
-    n = len(words)
-    counts = np.array([counter[w] for w in words], dtype=np.float64)
-    probs = np.empty((len(dists), n))
-    for row, dist in zip(probs, dists):
-        row[:] = np.fromiter(map(dist.get, words, repeat(0.0)), np.float64, n)
-    uncovered = [w for w, none in zip(words, probs.sum(axis=0) <= 0.0) if none]
-    if uncovered:
-        raise ValueError(
-            "token types with zero probability under every component: "
-            + ", ".join(sorted(uncovered)[:5])
-        )
-    return words, counts, probs
+def mle_word_distribution(freqs: np.ndarray, cluster: int) -> np.ndarray:
+    """Word distribution of one cluster from the m x V distributed
+    frequencies: a vector over the vocabulary, 0 at non-members."""
+    return mle_distribution(freqs[cluster])
 
 
 def loglik_grad(counts, probs, theta):
@@ -133,33 +92,11 @@ def loglik_grad(counts, probs, theta):
     return loglik, grad
 
 
-def _eval_packed(counts, probs, theta):
+def _evaluate(counts, probs, theta):
     loglik, grad = loglik_grad(counts, probs, theta)
     # the weighted gradient always averages to one over the simplex
     assert abs(float(np.asarray(theta) @ grad) - 1.0) <= 1e-10
     return loglik, grad
-
-
-def log_likelihood(theta, dists, tokens) -> float:
-    """Per-token-average natural-log likelihood of a mixture.
-
-    ``(1/N) sum_t log(sum_j theta_j P_j(w_t))`` over the token
-    sequence; ``dists`` holds one word-probability mapping per
-    component.
-    """
-    _, counts, probs = pack_tokens(tokens, dists)
-    loglik, _ = _eval_packed(counts, probs, theta)
-    return loglik
-
-
-def gradient(theta, dists, tokens) -> np.ndarray:
-    """Gradient of ``log_likelihood`` in the mixture weights.
-
-    Component j is ``(1/N) sum_t P_j(w_t) / sum_k theta_k P_k(w_t)``.
-    """
-    _, counts, probs = pack_tokens(tokens, dists)
-    _, grad = _eval_packed(counts, probs, theta)
-    return grad
 
 
 def em_step(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -190,8 +127,11 @@ class EmConfig:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        # an int exactly, as a CLI option is: no bool, no float, no NaN
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
+            )
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
 
@@ -205,24 +145,42 @@ class EmResult:
 
 
 def em_fit(
-    dists: Sequence[Mapping[str, object]],
-    tokens: Iterable[str],
+    components,
+    counts,
     config: EmConfig | None = None,
     trace: list | None = None,
 ) -> EmResult:
-    """Fit mixture weights to a token sequence.
+    """Fit mixture weights to the counts of n token types.
 
-    ``dists`` are fixed per-cluster word distributions; only the
-    weights move.  ``tokens`` is a token sequence or a ``{word: count}``
-    mapping of positive counts; both give the same fit.  Runs until the
-    likelihood improvement drops below the tolerance or the iteration cap is hit.  At ``eta = 1`` the
-    likelihood is checked to be non-decreasing.  When ``trace`` is a
-    list, an ``(evaluation, log_likelihood)`` pair is appended for
-    every likelihood evaluation, starting with the initial weights.
+    ``components`` is an m x n matrix whose row j holds component j's
+    probability of each type; only the weights move.  ``counts`` holds
+    the n types' positive counts.  A count that is not positive or a
+    type no component covers raises ValueError naming its column;
+    shapes that do not match raise one too.  Runs until the likelihood
+    improvement drops below the tolerance or the iteration cap is hit.
+    At ``eta = 1`` the likelihood is checked to be non-decreasing.  When
+    ``trace`` is a list, an ``(evaluation, log_likelihood)`` pair is
+    appended for every likelihood evaluation, starting with the initial
+    weights.
     """
     cfg = config or EmConfig()
-    _, counts, probs = pack_tokens(tokens, dists)
-    m = len(dists)
+    probs = np.asarray(components, np.float64)
+    counts = np.asarray(counts)
+    if probs.ndim != 2 or counts.shape != probs.shape[1:] or 0 in probs.shape:
+        raise ValueError(
+            "need an m x n component matrix and n counts, m and n at least 1; "
+            f"got shapes {probs.shape} and {counts.shape}"
+        )
+    bad = np.flatnonzero(~(counts > 0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]} has non-positive count {counts[bad[0]]}")
+    uncovered = np.flatnonzero(probs.sum(axis=0) <= 0.0)
+    if uncovered.size:
+        raise ValueError(
+            f"column {uncovered[0]} has zero probability under every component"
+        )
+    counts = counts.astype(np.float64)
+    m = len(probs)
     if cfg.initial_theta is not None:
         theta = np.ascontiguousarray(cfg.initial_theta, dtype=np.float64)
         if theta.shape != (m,):
@@ -233,7 +191,7 @@ def em_fit(
     else:
         theta = np.full(m, 1.0 / m)
 
-    loglik, grad = _eval_packed(counts, probs, theta)
+    loglik, grad = _evaluate(counts, probs, theta)
     if trace is not None:
         trace.append((1, loglik))
     updates = 0
@@ -242,7 +200,7 @@ def em_fit(
         theta = em_step(theta, grad, cfg.eta)
         updates += 1
         previous = loglik
-        loglik, grad = _eval_packed(counts, probs, theta)
+        loglik, grad = _evaluate(counts, probs, theta)
         if trace is not None:
             trace.append((updates + 1, loglik))
         if cfg.eta == 1.0:

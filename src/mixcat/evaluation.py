@@ -134,6 +134,7 @@ def curve_from_scores(
 
     ``scores`` maps every (document, category) pair to its score (None
     for no evidence) and ``gold`` maps documents to their label sets.
+    A None or NaN score is never claimed.
     At threshold epsilon a pair is claimed when its score exceeds
     epsilon (``threshold_outcome``), so the claimed pairs are a suffix
     of the sorted scores: one sort gives every point, with the same
@@ -146,7 +147,8 @@ def curve_from_scores(
     for (doc_id, category), score in scores.items():
         hit = category in gold[doc_id]
         relevant += hit
-        if score is not None:
+        # threshold_outcome claims neither None nor NaN at any epsilon
+        if score is not None and not math.isnan(score):
             values.append(score)
             hits.append(hit)
     values = np.asarray(values, dtype=np.float64)

@@ -325,14 +325,8 @@ def train_wbm(
     training word has positive probability on both sides.
     """
     table = _pools(corpus, category, positive_only)
-    vocab = table.vocabulary
-    positive, negative = (
-        np.fromiter(dist.values(), np.float64, len(vocab))
-        for dist in (
-            ele_distribution(dict(zip(vocab, row))) for row in table.matrix.tolist()
-        )
-    )
-    return WordModel(category, vocab, positive, negative)
+    positive, negative = (ele_distribution(row) for row in table.matrix)
+    return WordModel(category, table.vocabulary, positive, negative)
 
 
 def train_hcm(
@@ -375,12 +369,8 @@ def train_hcm(
             "pick cutoffs that keep them disjoint"
         )
     freqs = cluster_frequencies(table, clustering)
-    sides = []
-    for name in table.categories:
-        counts = {j: freqs[name, j] for j in range(clustering.m)}
-        dist = ele_distribution(counts)
-        sides.append(tuple(dist[j] for j in range(clustering.m)))
-    return HardClusterModel(category, clustering, sides[0], sides[1], settings)
+    positive, negative = (ele_distribution(row) for row in freqs)
+    return HardClusterModel(category, clustering, positive, negative, settings)
 
 
 def train_fmm(
@@ -403,28 +393,31 @@ def train_fmm(
     cfg = em_config or EmConfig()
     table = _pools(corpus, category, positive_only)
     clustering = soft_clusters(table, gamma)
-    distributed = distribute_frequencies(table, clustering)
-    cluster_words = []
+    freqs = distribute_frequencies(table, clustering)
+    dists = []
     for j, related in enumerate(clustering.related_categories):
         try:
-            cluster_words.append(mle_word_distribution(distributed, j))
+            dists.append(mle_word_distribution(freqs, j))
         except ValueError as err:
             raise TrainingError(
                 f"cluster related to {related!r} is empty at gamma={gamma}"
             ) from err
-    clustered = clustering.member.any(axis=0).tolist()
+    dists = np.array(dists)
+    member = clustering.member
+    clustered = member.any(axis=0)
     results = []
-    rows = zip(("positive", "negative"), table.categories, table.matrix.tolist())
+    rows = zip(("positive", "negative"), table.categories, table.matrix)
     for side, name, row in rows:
-        pairs = compress(zip(table.vocabulary, row), clustered)
-        counts = {w: f for w, f in pairs if f > 0}
-        if not counts:
+        # the side's clustered words with f > 0, in vocabulary order
+        columns = np.flatnonzero(clustered & (row > 0))
+        if not columns.size:
             raise TrainingError(
                 f"the {side} side ({name!r}) has no usable tokens "
                 "after dropping unclustered words"
             )
         side_trace = [] if trace is not None else None
-        results.append(em_fit(cluster_words, counts, cfg, trace=side_trace))
+        components = dists.take(columns, axis=1)
+        results.append(em_fit(components, row[columns], cfg, trace=side_trace))
         if trace is not None:
             trace[side] = side_trace
     pos, neg = results
@@ -436,11 +429,11 @@ def train_fmm(
         "em_iterations": [pos.iterations, neg.iterations],
         "em_converged": [pos.converged, neg.converged],
     }
-    # each cluster's distribution holds exactly its members, in vocabulary order
-    vectors = tuple(
-        np.fromiter(dist.values(), np.float64, len(dist)) for dist in cluster_words
+    # each cluster's probabilities at its members, in vocabulary order
+    cluster_words = tuple(dist[bits] for dist, bits in zip(dists, member))
+    return MixtureModel(
+        category, clustering, cluster_words, pos.theta, neg.theta, settings
     )
-    return MixtureModel(category, clustering, vectors, pos.theta, neg.theta, settings)
 
 
 def train_cos(

@@ -11,6 +11,12 @@ purpose, and print what changed, file by file::
 
     PYTHONPATH=src python tests/golden/regen.py
 
+With ``--check`` nothing is written: the same report is printed, and
+the exit status is 1 if any expected file would change in any byte, is
+missing, or has no case::
+
+    PYTHONPATH=src python tests/golden/regen.py --check
+
 ``train.txt`` and ``test.txt`` were made once with the benchmark's
 generator, and are kept as text so that no test needs it::
 
@@ -23,6 +29,7 @@ generator, and are kept as text so that no test needs it::
 
 from __future__ import annotations
 
+import argparse
 import binascii
 import contextlib
 import io
@@ -173,24 +180,33 @@ def compare(expected: str, actual: str) -> tuple[list[str], int, int]:
     return problems, floats, differing
 
 
-def regenerate() -> None:
-    """Rewrite every expected file and print what changed."""
+def regenerate(check: bool = False) -> int:
+    """Rewrite every expected file, unless ``check``, and print what
+    changed; return 1 if ``check`` finds any file that is not
+    byte-identical, else 0."""
     os.environ.pop("MIXCAT_CONFIG", None)
     with tempfile.TemporaryDirectory() as scratch:
         outputs = run_cases(Path(scratch))
+    changed = []
     for name, text in outputs.items():
         path = HERE / name
         if not path.exists():
             print(f"{name}: new")
+            changed.append(name)
         else:
-            problems, floats, differing = compare(path.read_text(encoding="utf-8"), text)
+            expected = path.read_bytes()
+            problems, floats, differing = compare(expected.decode("utf-8"), text)
+            same = expected == text.encode("utf-8")
+            if not same:
+                changed.append(name)
             if not problems and not differing:
-                print(f"{name}: unchanged")
+                print(f"{name}: {'unchanged' if same else 'bytes differ, no float does'}")
             else:
                 print(f"{name}: {differing} of {floats} floats differ")
                 for problem in problems:
                     print(f"  {problem}")
-        path.write_text(text, encoding="utf-8")
+        if not check:
+            path.write_text(text, encoding="utf-8")
     stale = sorted(
         p.name for p in HERE.iterdir()
         if p.is_file() and p.name not in outputs and p.name not in CORPORA
@@ -198,7 +214,16 @@ def regenerate() -> None:
     )
     for name in stale:
         print(f"{name}: no case writes it; delete it by hand")
+    if check:
+        print(f"{len(changed)} of {len(outputs)} files differ, {len(stale)} stale")
+    return int(check and bool(changed or stale))
 
 
 if __name__ == "__main__":
-    regenerate()
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 unless every expected file is byte-identical",
+    )
+    raise SystemExit(regenerate(parser.parse_args().check))

@@ -5,13 +5,15 @@ cell or one sum at a time, so the tests can state per-word facts
 without the library keeping a per-word view of its counts.
 ``contingency`` and ``micro_pr`` pool decisions one (document,
 category) pair at a time: the sweep's counts off one sort must agree
-with them.  ``from_member_sets`` builds a ``Clustering``'s member matrix
+with them.  ``pack_tokens`` turns word-keyed mixture components and
+tokens into the arrays ``em_fit`` takes.  ``from_member_sets`` builds a ``Clustering``'s member matrix
 one member at a time, and ``sides`` and ``cluster_dicts`` read a
 model's vectors as word-keyed dicts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress
 from typing import Mapping, Sequence
 
@@ -59,14 +61,17 @@ def as_dict(table) -> dict[str, dict[str, int]]:
     }
 
 
-def word_freq(distributed, cluster: int, word: str):
-    """A word's share in one cluster of a ``DistributedFrequencies``."""
-    return distributed.cluster_words[cluster].get(word, 0)
+def pack_tokens(tokens, dists) -> tuple[np.ndarray, np.ndarray]:
+    """``em_fit``'s arrays from a token sequence or ``{word: count}``
+    mapping and one ``{word: probability}`` dict per component.
 
-
-def cluster_total(distributed, cluster: int):
-    """The sum of one cluster's word shares."""
-    return sum(distributed.cluster_words[cluster].values())
+    Returns the m x n component matrix and the n counts, one column per
+    distinct word in first-appearance (or key) order; a word a dict
+    lacks has probability 0 under that component.
+    """
+    counter = Counter(tokens)
+    probs = [[dist.get(word, 0.0) for word in counter] for dist in dists]
+    return np.array(probs, np.float64), np.array(list(counter.values()))
 
 
 def clusters_of(clustering, word: str) -> tuple[int, ...]:

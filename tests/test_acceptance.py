@@ -8,6 +8,7 @@ tolerances), independent grid searches, or closed-form properties.
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -29,8 +30,6 @@ from mixcat import (
     ele_distribution,
     em_fit,
     em_step,
-    gradient,
-    log_likelihood,
     mle_word_distribution,
     parse_corpus,
     rank_clusters,
@@ -40,7 +39,8 @@ from mixcat import (
     train_hcm,
     train_wbm,
 )
-from reference import cluster_vectors, from_member_sets
+from mixcat.estimation import loglik_grad
+from reference import cluster_vectors, from_member_sets, pack_tokens
 
 LN2 = math.log(2.0)
 
@@ -70,10 +70,9 @@ def test_criterion_1_worked_clustering_example(sports_corpus, binary_table):
 
     # exact cluster frequencies
     freqs = cluster_frequencies(binary_table, clustering)
-    assert freqs == {
-        ("c1", 0): 7, ("c1", 1): 0, ("c1", 2): 3,
-        ("~c1", 0): 0, ("~c1", 1): 2, ("~c1", 2): 5,
-    }
+    assert binary_table.categories == ("c1", "~c1")
+    assert freqs.dtype == np.int64
+    assert freqs.tolist() == [[7, 0, 3], [0, 2, 5]]
 
     # smoothed cluster probabilities within +/-0.005 of the reference
     model = train_hcm(sports_corpus, "c1", top_l=5, top_m=5)
@@ -101,11 +100,18 @@ def test_criterion_1_worked_clustering_example(sports_corpus, binary_table):
 
     # distributed frequencies, exact
     distributed = distribute_frequencies(binary_table, soft)
-    assert distributed.cluster_words[0] == {
+    vocabulary = binary_table.vocabulary
+    assert distributed.dtype == np.int64
+    members = [
+        dict(zip(compress(vocabulary, bits), row[bits].tolist()))
+        for bits, row in zip(soft.member, distributed)
+    ]
+    assert (distributed[~soft.member] == 0).all()
+    assert members[0] == {
         "racket": Fraction(4), "stroke": Fraction(1),
         "shot": Fraction(2), "ball": Fraction(2),
     }
-    assert distributed.cluster_words[1] == {
+    assert members[1] == {
         "goal": Fraction(4), "kick": Fraction(2), "ball": Fraction(2),
     }
 
@@ -115,7 +121,8 @@ def test_criterion_1_worked_clustering_example(sports_corpus, binary_table):
         {"goal": 0.50, "kick": 0.25, "ball": 0.25},
     ]
     for j, refs in enumerate(word_refs):
-        exact = mle_word_distribution(distributed, j)
+        vector = mle_word_distribution(distributed, j)
+        exact = {w: p for w, p in zip(vocabulary, vector.tolist()) if p}
         assert set(exact) == set(refs)
         for word, ref in refs.items():
             assert abs(float(exact[word]) - ref) <= 0.005
@@ -132,8 +139,8 @@ def test_criterion_2_mixture_weight_fitting():
     its maximum-likelihood weight sits on the simplex boundary at
     exactly zero, which the oracle confirms."""
     two_updates = EmConfig(max_iterations=2)
-    snap_pos = em_fit([K1, K2], POOL_POS, two_updates).theta
-    snap_neg = em_fit([K1, K2], POOL_NEG, two_updates).theta
+    snap_pos = em_fit(*pack_tokens(POOL_POS, [K1, K2]), two_updates).theta
+    snap_neg = em_fit(*pack_tokens(POOL_NEG, [K1, K2]), two_updates).theta
     for got, ref in zip(snap_pos, (0.86, 0.14)):
         assert abs(got - ref) <= 0.02
     for got, ref in zip(snap_neg, (0.04, 0.96)):
@@ -141,7 +148,7 @@ def test_criterion_2_mixture_weight_fitting():
 
     grid = np.linspace(0.0, 1.0, 1001)
     for pool in (POOL_POS, POOL_NEG):
-        fitted = em_fit([K1, K2], pool)
+        fitted = em_fit(*pack_tokens(pool, [K1, K2]))
         assert fitted.converged
         # independent oracle: exhaustive search over the first weight
         words = sorted(set(pool))
@@ -222,19 +229,16 @@ def test_criterion_4_reduction_equivalences():
         word_dists = []
         for j in range(clustering.m):
             if clustering.clusters[j]:
-                word_dists.append(
-                    {w: float(p) for w, p in mle_word_distribution(distributed, j).items()}
-                )
+                vector = mle_word_distribution(distributed, j)
+                word_dists.append(dict(zip(table.vocabulary, vector.tolist())))
             else:
                 word_dists.append({})
         freqs = cluster_frequencies(table, clustering)
-        thetas = []
-        for name in table.categories:
-            dist = ele_distribution({j: freqs[name, j] for j in range(clustering.m)})
-            thetas.append(tuple(dist[j] for j in range(clustering.m)))
+        thetas = [ele_distribution(row) for row in freqs]
         doc = [str(w) for w in rng.choice(assigned, size=int(rng.integers(2, 12)))]
+        probs, counts = pack_tokens(doc, word_dists)
         mixture_ll = [
-            len(doc) * log_likelihood(theta, word_dists, doc) for theta in thetas
+            len(doc) * loglik_grad(counts, probs, theta)[0] for theta in thetas
         ]
         cluster_ll = [
             sum(math.log(theta[clustering.assignments[t][0]]) for t in doc)
@@ -309,18 +313,25 @@ def test_criterion_5_fitting_loop_properties():
         ]
         counts = rng.integers(1, 6, size=n)
         tokens = [w for w, c in zip(words, counts) for _ in range(int(c))]
+        probs, counts = pack_tokens(tokens, dists)
+
+        def log_likelihood(theta):
+            return loglik_grad(counts, probs, theta)[0]
+
+        def gradient(theta):
+            return loglik_grad(counts, probs, theta)[1]
 
         # simplex preservation across several manual steps
         theta = rng.dirichlet(np.full(m, 5.0))
         for _ in range(3):
-            theta = em_step(theta, gradient(theta, dists, tokens), float(rng.uniform(0.05, 1.0)))
+            theta = em_step(theta, gradient(theta), float(rng.uniform(0.05, 1.0)))
             assert abs(float(theta.sum()) - 1.0) <= 1e-12
             assert np.all(theta >= 0.0)
         checked_simplex += 1
 
         # monotone likelihood at full rate
         trace = []
-        em_fit(dists, tokens, EmConfig(max_iterations=30), trace=trace)
+        em_fit(probs, counts, EmConfig(max_iterations=30), trace=trace)
         values = [v for _, v in trace]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         checked_monotone += 1
@@ -333,11 +344,8 @@ def test_criterion_5_fitting_loop_properties():
         h = 1e-6
         step = np.zeros(m)
         step[j], step[k] = h, -h
-        numeric = (
-            log_likelihood(theta + step, dists, tokens)
-            - log_likelihood(theta - step, dists, tokens)
-        ) / (2 * h)
-        analytic = gradient(theta, dists, tokens)
+        numeric = (log_likelihood(theta + step) - log_likelihood(theta - step)) / (2 * h)
+        analytic = gradient(theta)
         assert numeric == pytest.approx(analytic[j] - analytic[k], rel=1e-4)
         checked_gradient += 1
     assert checked_simplex >= 100

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import mixcat
-from mixcat import clustering, counts, evaluation, models
+from mixcat import clustering, counts, estimation, evaluation, models
 
 # modules that importing the package must not load: the benchmark's
 # set-up time includes the import
@@ -25,10 +25,12 @@ MOVED = (
     (counts.FrequencyTable, "word_total"),
     (counts.FrequencyTable, "as_dict"),
     (counts.FrequencyTable, "category_total"),
-    (clustering.DistributedFrequencies, "word_freq"),
-    (clustering.DistributedFrequencies, "cluster_total"),
+    (clustering, "DistributedFrequencies"),
     (clustering.Clustering, "clusters_of"),
     (clustering, "from_member_sets"),
+    (estimation, "pack_tokens"),
+    (estimation, "log_likelihood"),
+    (estimation, "gradient"),
 )
 
 

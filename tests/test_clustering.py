@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -18,14 +19,7 @@ from mixcat import (
     rank_clusters,
     soft_clusters,
 )
-from reference import (
-    cluster_total,
-    clusters_of,
-    count,
-    from_member_sets,
-    word_freq,
-    word_total,
-)
+from reference import clusters_of, count, from_member_sets, word_total
 
 
 def _members(clustering):
@@ -156,11 +150,19 @@ class TestRankClustering:
         assert not clustering.is_hard()
 
 
+def _member_shares(distributed, clustering) -> list[dict]:
+    """Each row of a distributed-frequency matrix at its cluster's members."""
+    return [
+        dict(zip(compress(clustering.vocabulary, bits), row[bits].tolist()))
+        for bits, row in zip(clustering.member, distributed)
+    ]
+
+
 class TestDistributedFrequencies:
     def test_fixture_exact_values(self, binary_table):
         clustering = soft_clusters(binary_table, 0.4)
         distributed = distribute_frequencies(binary_table, clustering)
-        k1, k2 = distributed.cluster_words
+        k1, k2 = _member_shares(distributed, clustering)
         assert k1 == {
             "racket": Fraction(4),
             "stroke": Fraction(1),
@@ -172,15 +174,16 @@ class TestDistributedFrequencies:
             "kick": Fraction(2),
             "ball": Fraction(2),
         }
-        assert cluster_total(distributed, 0) == 9
-        assert cluster_total(distributed, 1) == 8
-        assert word_freq(distributed, 1, "racket") == 0
+        assert distributed.sum(axis=1).tolist() == [9, 8]
+        assert distributed[1, binary_table.vocabulary.index("racket")] == 0
+        assert not distributed.flags.writeable
 
     def test_single_cluster_word_keeps_full_count(self, binary_table):
         clustering = soft_clusters(binary_table, 0.4)
         distributed = distribute_frequencies(binary_table, clustering)
         # goal appears in both categories but clusters only one way
-        assert word_freq(distributed, 1, "goal") == word_total(binary_table, "goal")
+        column = binary_table.vocabulary.index("goal")
+        assert distributed[1, column] == word_total(binary_table, "goal")
 
     def test_shares_sum_to_word_totals(self):
         rng = np.random.default_rng(7)
@@ -193,12 +196,9 @@ class TestDistributedFrequencies:
                 pools.append((f"c{c}", tuple(words[i] for i in picks)))
             table = count_pools(pools)
             clustering = soft_clusters(table, float(rng.uniform(0.0, 0.5)))
-            distributed = distribute_frequencies(table, clustering)
+            totals = distribute_frequencies(table, clustering).sum(axis=0).tolist()
             for word in clustering.assignments:
-                total = sum(
-                    word_freq(distributed, j, word)
-                    for j in range(clustering.m)
-                )
+                total = totals[table.vocabulary.index(word)]
                 assert total == word_total(table, word)
 
     @given(
@@ -209,9 +209,16 @@ class TestDistributedFrequencies:
     def test_two_pool_tables_give_integer_counts(self, positive, negative, gamma):
         table = count_pools([("c", positive), ("~c", negative)])
         distributed = distribute_frequencies(table, soft_clusters(table, gamma))
-        for j, row in enumerate(distributed.cluster_words):
-            assert all(type(v) is int for v in row.values())
-            assert type(cluster_total(distributed, j)) is int
+        assert distributed.dtype == np.int64
+
+    def test_uneven_split_keeps_exact_fractions(self):
+        # w is in clusters a and b (2/5 each, over gamma) but not c (1/5),
+        # so each of the two gets 5 * 2/4
+        table = count_pools([("a", ("w", "w")), ("b", ("w", "w")), ("c", ("w",))])
+        distributed = distribute_frequencies(table, soft_clusters(table, 0.3))
+        assert distributed.dtype == object
+        assert distributed.tolist() == [[Fraction(5, 2)], [Fraction(5, 2)], [0]]
+        assert not distributed.flags.writeable
 
     def test_requires_related_categories(self, binary_table):
         clustering = rank_clusters(binary_table, 5, 5)
@@ -380,11 +387,25 @@ def assert_same_clustering(clustering, reference):
         assert all(type(j) is int for j in ids)
 
 
-def assert_same_values(actual, expected):
-    """``==`` in the same key order, and every value of the same type."""
-    assert list(actual.items()) == list(expected.items())
-    for key, value in actual.items():
-        assert type(value) is type(expected[key]), key
+def assert_same_cells(actual, expected):
+    """``actual.tolist() == expected``, with every cell of the same type."""
+    cells = actual.tolist()
+    assert cells == expected
+    assert [list(map(type, row)) for row in cells] == [
+        list(map(type, row)) for row in expected
+    ]
+
+
+def assert_same_cluster_frequencies(table, clustering):
+    """The C x m int64 matrix holds the reference's ``{(c, j): f}``."""
+    reference = reference_cluster_frequencies(table, clustering)
+    expected = [
+        [reference[category, j] for j in range(clustering.m)]
+        for category in table.categories
+    ]
+    actual = cluster_frequencies(table, clustering)
+    assert actual.dtype == np.int64
+    assert_same_cells(actual, expected)
 
 
 # words that tie on count and differ only in case, in a non-ASCII
@@ -414,15 +435,14 @@ class TestStagesMatchTheReference:
     def check_threshold_stages(self, table, gamma):
         clustering = soft_clusters(table, gamma)
         assert_same_clustering(clustering, reference_soft_clusters(table, gamma))
-        assert_same_values(
-            cluster_frequencies(table, clustering),
-            reference_cluster_frequencies(table, clustering),
-        )
-        distributed = distribute_frequencies(table, clustering).cluster_words
-        for row, expected in zip(
-            distributed, reference_distribute_frequencies(table, clustering), strict=True
-        ):
-            assert_same_values(row, expected)
+        assert_same_cluster_frequencies(table, clustering)
+        # each reference row's words, 0 elsewhere; int64 unless a split is uneven
+        rows = reference_distribute_frequencies(table, clustering)
+        expected = [[row.get(w, 0) for w in table.vocabulary] for row in rows]
+        uneven = any(type(v) is Fraction for row in rows for v in row.values())
+        distributed = distribute_frequencies(table, clustering)
+        assert distributed.dtype == (object if uneven else np.int64)
+        assert_same_cells(distributed, expected)
 
     @given(st.lists(POOL, max_size=4), GAMMAS)
     def test_pool_tables(self, pools, gamma):
@@ -437,10 +457,7 @@ class TestStagesMatchTheReference:
         table = _pool_table([first, second])
         clustering = rank_clusters(table, top_l, top_m)
         assert_same_clustering(clustering, reference_rank_clusters(table, top_l, top_m))
-        assert_same_values(
-            cluster_frequencies(table, clustering),
-            reference_cluster_frequencies(table, clustering),
-        )
+        assert_same_cluster_frequencies(table, clustering)
 
     @pytest.mark.parametrize("words", [WORDS, WORDS[::-1]], ids=["forward", "reversed"])
     def test_rank_ties_follow_python_string_order(self, words):

@@ -108,12 +108,11 @@ class TestClusterFrequencies:
         clustering = soft_clusters(binary_table, 0.5)
         freqs = cluster_frequencies(binary_table, clustering)
         # k1 = {racket, stroke, shot}; k2 = {goal, kick}; ball discarded
-        assert freqs[("c1", 0)] == 7
-        assert freqs[("c1", 1)] == 1
-        assert freqs[("~c1", 0)] == 0
-        assert freqs[("~c1", 1)] == 5
+        assert binary_table.categories == ("c1", "~c1")
+        assert freqs.dtype == np.int64
+        assert freqs.tolist() == [[7, 1], [0, 5]]
         # the discarded word's counts appear nowhere
-        total = sum(freqs.values())
+        total = freqs.sum()
         assert total == 17 - word_total(binary_table, "ball")
 
 

@@ -1,7 +1,6 @@
 """Distribution estimators and the mixture-weight fitting loop."""
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +15,12 @@ from mixcat import (
     ele_distribution,
     em_fit,
     em_step,
-    gradient,
-    log_likelihood,
     mle_distribution,
     mle_word_distribution,
     soft_clusters,
 )
-from mixcat.estimation import loglik_grad, pack_tokens
+from mixcat.estimation import loglik_grad
+from reference import pack_tokens
 
 # the example cluster word distributions and per-side training pools,
 # spelled out so the fitting tests do not depend on the training code
@@ -30,6 +28,19 @@ K1 = {"racket": 4 / 9, "stroke": 1 / 9, "shot": 2 / 9, "ball": 2 / 9}
 K2 = {"goal": 0.5, "kick": 0.25, "ball": 0.25}
 POOL_POS = ["racket"] * 4 + ["stroke"] + ["shot"] * 2 + ["ball"] * 2 + ["goal"]
 POOL_NEG = ["ball"] * 2 + ["goal"] * 3 + ["kick"] * 2
+# each pool as em_fit's component matrix and counts
+POS = pack_tokens(POOL_POS, [K1, K2])
+NEG = pack_tokens(POOL_NEG, [K1, K2])
+
+
+def log_likelihood(theta, dists, tokens) -> float:
+    probs, counts = pack_tokens(tokens, dists)
+    return loglik_grad(counts, probs, theta)[0]
+
+
+def gradient(theta, dists, tokens) -> np.ndarray:
+    probs, counts = pack_tokens(tokens, dists)
+    return loglik_grad(counts, probs, theta)[1]
 
 
 def _random_instance(rng, max_components=4, max_words=8):
@@ -47,133 +58,120 @@ def _random_instance(rng, max_components=4, max_words=8):
     return dists, tokens, theta
 
 
-# count tables with integer values well past 2**53, where a float sum
-# would already round
-COUNT_TABLES = st.dictionaries(
-    st.text(max_size=3), st.integers(0, 10**20), min_size=1, max_size=12
+# int64 count rows whose sums stay far below 2**53, and object rows of
+# Python ints past the int64 range and exact fractions
+INT64_ROWS = st.lists(st.integers(0, 2**40), min_size=1, max_size=12).map(
+    lambda values: np.array(values, np.int64)
 )
+OBJECT_ROWS = st.lists(
+    st.one_of(st.integers(0, 10**20), st.fractions(min_value=0, max_denominator=50)),
+    min_size=1,
+    max_size=12,
+).map(lambda values: np.array(values, dtype=object))
+
+
+def _rounded_once(row, numerator, denominator) -> list[float]:
+    """Each exact ratio ``numerator(f) / denominator`` rounded once."""
+    return [float(Fraction(numerator(f)) / denominator) for f in row.tolist()]
 
 
 class TestEleDistribution:
     def test_hand_values(self):
-        dist = ele_distribution({"x": 3, "y": 1})
-        assert dist == {"x": 0.7, "y": 0.3}
+        dist = ele_distribution([3, 1])
+        assert dist.dtype == np.float64
+        assert dist.tolist() == [0.7, 0.3]
 
     def test_all_zero_counts_give_uniform(self):
-        dist = ele_distribution({"a": 0, "b": 0, "c": 0})
-        assert dist == pytest.approx({"a": 1 / 3, "b": 1 / 3, "c": 1 / 3})
+        dist = ele_distribution([0, 0, 0])
+        assert dist == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
     def test_zero_count_keeps_positive_probability(self):
-        dist = ele_distribution({"a": 9, "b": 0})
-        assert dist["b"] == pytest.approx(0.5 / 10)
-        assert dist["b"] > 0
+        dist = ele_distribution([9, 0])
+        assert dist[1] == pytest.approx(0.5 / 10)
+        assert dist[1] > 0
 
     def test_large_counts_swamp_the_prior(self):
-        dist = ele_distribution({"a": 10**6, "b": 0})
-        assert abs(dist["a"] - 1.0) < 1e-6
+        dist = ele_distribution([10**6, 0])
+        assert abs(dist[0] - 1.0) < 1e-6
 
     def test_fraction_counts(self):
-        dist = ele_distribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
-        assert dist == {"a": 0.5, "b": 0.5}
+        dist = ele_distribution(np.array([Fraction(1, 2), Fraction(1, 2)], dtype=object))
+        assert dist.tolist() == [0.5, 0.5]
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 9))
-            counts = {f"w{i}": int(rng.integers(0, 40)) for i in range(n)}
-            total = math.fsum(ele_distribution(counts).values())
+            counts = rng.integers(0, 40, size=n)
+            total = math.fsum(ele_distribution(counts).tolist())
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_table(self):
         with pytest.raises(ValueError, match="empty"):
-            ele_distribution({})
+            ele_distribution(np.array([], np.int64))
 
     def test_negative_count(self):
         with pytest.raises(ValueError, match="negative"):
-            ele_distribution({"a": 1, "b": -1})
+            ele_distribution([1, -1])
 
-    @given(COUNT_TABLES)
+    @given(st.one_of(INT64_ROWS, OBJECT_ROWS))
     def test_integer_counts_round_once(self, counts):
-        total, m = sum(counts.values()), len(counts)
+        denominator = 2 * Fraction(sum(counts.tolist())) + len(counts)
         dist = ele_distribution(counts)
-        for key, value in counts.items():
-            assert type(dist[key]) is float
-            assert dist[key] == float(Fraction(2 * value + 1, 2 * total + m))
+        assert dist.dtype == np.float64
+        assert dist.tolist() == _rounded_once(counts, lambda f: 2 * f + 1, denominator)
 
 
 class TestMleDistribution:
     def test_exact_fractions(self):
-        dist = mle_distribution({"a": 2, "b": 3})
-        assert dist == {"a": 2 / 5, "b": 3 / 5}
-        assert all(type(v) is float for v in dist.values())
-        exact = mle_distribution({"a": Fraction(1, 3), "b": Fraction(2, 3)})
-        assert exact == {"a": Fraction(1, 3), "b": Fraction(2, 3)}
-        assert all(isinstance(v, Fraction) for v in exact.values())
+        dist = mle_distribution([2, 3])
+        assert dist.dtype == np.float64
+        assert dist.tolist() == [2 / 5, 3 / 5]
+        exact = mle_distribution(np.array([Fraction(1, 3), Fraction(2, 3)], dtype=object))
+        assert exact.dtype == np.float64
+        assert exact.tolist() == [1 / 3, 2 / 3]
 
-    @given(COUNT_TABLES.filter(lambda counts: any(counts.values())))
+    @given(INT64_ROWS.filter(np.any))
     def test_integer_counts_round_once(self, counts):
-        total = sum(counts.values())
+        total = Fraction(sum(counts.tolist()))
         dist = mle_distribution(counts)
-        for key, value in counts.items():
-            assert type(dist[key]) is float
-            assert dist[key] == float(Fraction(value, total))
+        assert dist.tolist() == _rounded_once(counts, lambda f: f, total)
 
-    @given(
-        st.lists(
-            st.fractions(min_value=0, max_denominator=50), min_size=1, max_size=8
-        ).filter(any)
-    )
-    def test_fraction_counts_stay_exact(self, values):
-        dist = mle_distribution(dict(enumerate(values)))
-        total = sum(values)
-        assert all(isinstance(v, Fraction) for v in dist.values())
-        assert sum(dist.values()) == 1
-        assert all(dist[i] * total == v for i, v in enumerate(values))
+    @given(OBJECT_ROWS.filter(np.any))
+    def test_fraction_counts_stay_exact(self, counts):
+        total = Fraction(sum(counts.tolist()))
+        dist = mle_distribution(counts)
+        assert dist.dtype == np.float64
+        assert dist.tolist() == _rounded_once(counts, lambda f: f, total)
 
     def test_zero_mass(self):
         with pytest.raises(ValueError, match="zero-mass"):
-            mle_distribution({"a": 0, "b": 0})
+            mle_distribution([0, 0])
 
     def test_negative_frequency(self):
         with pytest.raises(ValueError, match="negative"):
-            mle_distribution({"a": -1, "b": 2})
+            mle_distribution([-1, 2])
 
     def test_cluster_word_distribution(self, binary_table):
         clustering = soft_clusters(binary_table, 0.4)
         distributed = distribute_frequencies(binary_table, clustering)
-        assert mle_word_distribution(distributed, 0) == {
+        words = binary_table.vocabulary
+        assert dict(zip(words, mle_word_distribution(distributed, 0).tolist())) == {
             "racket": 4 / 9,
             "stroke": 1 / 9,
             "shot": 2 / 9,
             "ball": 2 / 9,
+            "goal": 0.0,
+            "kick": 0.0,
         }
-        assert mle_word_distribution(distributed, 1) == {
+        assert dict(zip(words, mle_word_distribution(distributed, 1).tolist())) == {
+            "racket": 0.0,
+            "stroke": 0.0,
+            "shot": 0.0,
             "goal": 1 / 2,
             "kick": 1 / 4,
             "ball": 1 / 4,
         }
-
-
-class TestPackTokens:
-    def test_first_appearance_order_and_counts(self):
-        words, counts, probs = pack_tokens(
-            ["b", "a", "b", "c", "a", "b"], [{"a": 0.2, "b": 0.3, "c": 0.5}]
-        )
-        assert words == ["b", "a", "c"]
-        assert counts.tolist() == [3.0, 2.0, 1.0]
-        assert probs.tolist() == [[0.3, 0.2, 0.5]]
-
-    def test_uncovered_token_named_in_error(self):
-        with pytest.raises(ValueError, match="zygote"):
-            pack_tokens(["a", "zygote"], [{"a": 1.0}])
-
-    def test_empty_tokens(self):
-        with pytest.raises(ValueError, match="no tokens"):
-            pack_tokens([], [{"a": 1.0}])
-
-    def test_no_components(self):
-        with pytest.raises(ValueError, match="component"):
-            pack_tokens(["a"], [])
 
 
 class TestLogLikelihood:
@@ -276,8 +274,8 @@ class TestEmStep:
 class TestEmFit:
     def test_two_update_snapshot(self):
         cfg = EmConfig(max_iterations=2)
-        pos = em_fit([K1, K2], POOL_POS, cfg)
-        neg = em_fit([K1, K2], POOL_NEG, cfg)
+        pos = em_fit(*POS, cfg)
+        neg = em_fit(*NEG, cfg)
         assert pos.theta == pytest.approx(
             (0.8548387096774194, 0.14516129032258066), rel=1e-12
         )
@@ -288,8 +286,8 @@ class TestEmFit:
         assert not pos.converged and not neg.converged
 
     def test_converged_weights(self):
-        pos = em_fit([K1, K2], POOL_POS)
-        neg = em_fit([K1, K2], POOL_NEG)
+        pos = em_fit(*POS)
+        neg = em_fit(*NEG)
         assert pos.converged and neg.converged
         assert pos.theta == pytest.approx(
             (0.8715487853846612, 0.1284512146153389), rel=1e-12
@@ -300,7 +298,7 @@ class TestEmFit:
         assert neg.theta[1] == pytest.approx(1.0, abs=1e-8)
 
     def test_result_is_self_consistent(self):
-        result = em_fit([K1, K2], POOL_POS)
+        result = em_fit(*POS)
         assert isinstance(result, EmResult)
         assert result.log_likelihood == pytest.approx(
             log_likelihood(result.theta, [K1, K2], POOL_POS), rel=1e-15
@@ -309,7 +307,7 @@ class TestEmFit:
 
     def test_trace_is_monotone_at_full_rate(self):
         trace = []
-        result = em_fit([K1, K2], POOL_POS, trace=trace)
+        result = em_fit(*POS, trace=trace)
         evaluations = [e for e, _ in trace]
         values = [v for _, v in trace]
         assert evaluations == list(range(1, result.iterations + 2))
@@ -317,8 +315,8 @@ class TestEmFit:
         assert values[-1] == result.log_likelihood
 
     def test_smaller_rate_reaches_the_same_optimum_slower(self):
-        full = em_fit([K1, K2], POOL_POS)
-        half = em_fit([K1, K2], POOL_POS, EmConfig(eta=0.5, max_iterations=500))
+        full = em_fit(*POS)
+        half = em_fit(*POS, EmConfig(eta=0.5, max_iterations=500))
         assert half.converged
         assert half.iterations > full.iterations
         assert half.theta == pytest.approx(full.theta, abs=1e-4)
@@ -326,13 +324,13 @@ class TestEmFit:
     def test_initial_theta_respected(self):
         cfg = EmConfig(max_iterations=1, initial_theta=(0.9, 0.1))
         trace = []
-        em_fit([K1, K2], POOL_POS, cfg, trace=trace)
+        em_fit(*POS, cfg, trace=trace)
         assert trace[0] == (1, log_likelihood((0.9, 0.1), [K1, K2], POOL_POS))
 
     def test_initial_theta_shape_checked(self):
         cfg = EmConfig(initial_theta=(0.5, 0.3, 0.2))
         with pytest.raises(ValueError, match="component count"):
-            em_fit([K1, K2], POOL_POS, cfg)
+            em_fit(*POS, cfg)
 
     @pytest.mark.parametrize(
         "theta",
@@ -342,30 +340,39 @@ class TestEmFit:
     def test_initial_theta_must_be_a_distribution(self, theta):
         cfg = EmConfig(initial_theta=theta)
         with pytest.raises(ValueError, match="distribution"):
-            em_fit([K1, K2], POOL_POS, cfg)
+            em_fit(*POS, cfg)
 
-    def test_uncovered_tokens_rejected(self):
-        with pytest.raises(ValueError, match="zero probability"):
-            em_fit([K1, K2], ["racket", "outlier"])
+    def test_uncovered_column_rejected(self):
+        components = [[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]]
+        with pytest.raises(ValueError, match="column 1 has zero probability"):
+            em_fit(components, [1, 2, 3])
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="'a' has non-positive count 0"):
-            em_fit([{"a": 1.0}], {"a": 0})
+        with pytest.raises(ValueError, match="column 0 has non-positive count 0"):
+            em_fit([[1.0]], [0])
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="'a' has non-positive count -1"):
-            em_fit([{"a": 0.5, "b": 0.5}], {"a": -1, "b": 3})
+        with pytest.raises(ValueError, match="column 1 has non-positive count -1"):
+            em_fit([[0.5, 0.5]], [3, -1])
 
-    @given(st.data())
-    def test_count_mapping_fits_like_its_tokens(self, data):
-        words = sorted(set(K1) | set(K2))
-        tokens = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=40))
-        eta = data.draw(st.sampled_from([1.0, 0.5]))
-        cfg = EmConfig(eta=eta, max_iterations=20)
-        from_tokens, from_counts = [], []
-        expected = em_fit([K1, K2], tokens, cfg, trace=from_tokens)
-        assert em_fit([K1, K2], Counter(tokens), cfg, trace=from_counts) == expected
-        assert from_counts == from_tokens
+    def test_nan_count_rejected(self):
+        with pytest.raises(ValueError, match="column 0 has non-positive count nan"):
+            em_fit([[0.5, 0.5]], [math.nan, 1.0])
+
+    @pytest.mark.parametrize(
+        ("components", "counts"),
+        [
+            ([0.5, 0.5], [1, 1]),
+            ([[0.5, 0.5]], [1, 1, 1]),
+            ([[0.5, 0.5]], [[1, 1]]),
+            (np.empty((0, 2)), [1, 1]),
+            (np.empty((2, 0)), []),
+        ],
+        ids=["vector", "more-counts", "count-matrix", "no-component", "no-column"],
+    )
+    def test_shapes_must_match(self, components, counts):
+        with pytest.raises(ValueError, match="component matrix and n counts"):
+            em_fit(components, counts)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -373,6 +380,10 @@ class TestEmFit:
             {"eta": 0.0},
             {"eta": 1.5},
             {"max_iterations": 0},
+            {"max_iterations": math.nan},
+            {"max_iterations": math.inf},
+            {"max_iterations": 1.5},
+            {"max_iterations": True},
             {"tolerance": 0.0},
             {"eta": math.nan},
             {"tolerance": math.nan},

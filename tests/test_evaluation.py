@@ -1,5 +1,7 @@
 """Pooled contingency counts, threshold sweeps, and break-even extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from mixcat import (
     CurvePoint,
     Decision,
     PRCurve,
+    WordModel,
     break_even,
     classify_document,
     curve_from_scores,
@@ -200,6 +203,23 @@ class TestSweep:
             pr = micro_pr(direct, gold, [m.category for m in models])
             assert (pr.precision, pr.recall) == (point.precision, point.recall)
 
+    def test_nan_score_is_never_claimed(self):
+        """A NaN score is unclassified at every threshold, in the sweep as
+        in ``classify_document``."""
+        corpus = parse_corpus(["a\tx", "b\ty"])
+        model = WordModel("a", ("x", "y"), (math.nan, 0.5), (0.5, 0.5))
+        assert classify_document(model, ("x",), 0.0).outcome == "unclassified"
+        curve = sweep([model], corpus)
+        gold = {i: d.labels for i, d in enumerate(corpus.documents)}
+        for point in curve.points:
+            direct = {
+                (i, "a"): classify_document(model, doc.tokens, point.epsilon)
+                for i, doc in enumerate(corpus.documents)
+            }
+            pr = pr_from_counts(contingency(direct, gold, ["a"]))
+            assert (point.precision, point.recall) == (pr.precision, pr.recall)
+            assert point.recall == 0.0
+
     def test_grid_must_start_at_zero(self, separable):
         corpus, models = separable
         with pytest.raises(ValueError, match="start at 0"):
@@ -232,9 +252,11 @@ class TestSweep:
 
 
 GRID = default_epsilon_grid()
-# ties, exact grid points of either sign, and no-evidence pairs
+# ties, exact grid points of either sign, and pairs that no threshold
+# claims: no evidence, or a NaN score
 SCORES = st.one_of(
     st.none(),
+    st.just(math.nan),
     st.sampled_from([sign * GRID[k] for k in (0, 1, 10, 60, 100) for sign in (1, -1)]),
     st.floats(-1.0, 1.0),
 )
@@ -263,6 +285,7 @@ class TestCurveFromScores:
             (GRID[10], -GRID[10], GRID[60], GRID[100], 0.0, -0.0),  # on grid points
             (0.7, 0.7, 0.2, None, 0.2, 0.7),  # 0.7 is claimed at every point
             (-0.3, -0.1, -0.2, -0.4, -0.5, -0.6),  # nothing claimed at any point
+            (math.nan, 0.7, None, math.nan, -0.2, 0.1),  # NaN is never claimed
         ],
     )
     def test_hand_maps(self, values):

@@ -7,6 +7,7 @@ import json
 import binascii
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mixcat import (
     classify_document,
     decide,
     doc_log_likelihood,
+    em_fit,
     load_model,
     method_of,
     parse_corpus,
@@ -36,8 +38,10 @@ from mixcat import (
     train_wbm,
 )
 from mixcat.cli import main
-from mixcat.models import doc_term_table, table_scores
-from reference import cluster_dicts, from_member_sets, sides
+from mixcat.models import category_table, doc_term_table, table_scores
+from reference import cluster_dicts, from_member_sets, pack_tokens, sides
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestWordModel:
@@ -236,6 +240,26 @@ class TestMixtureModel:
         path = tmp_path / "m.json"
         save_model(model, path)
         assert load_model(path).settings == model.settings
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.4])
+    @pytest.mark.parametrize("positive_only", [True, False])
+    def test_theta_is_the_fit_of_each_side_word_counts(self, gamma, positive_only):
+        """Each side's weights are, bit for bit, ``em_fit`` over that
+        side's ``{word: count}`` of clustered words, in table order."""
+        lines = (GOLDEN / "train.txt").read_text(encoding="utf-8").splitlines()
+        corpus = parse_corpus(lines)
+        model = train_fmm(corpus, "c02", gamma, positive_only=positive_only)
+        table = category_table(corpus, "c02", positive_only)
+        clustered = model.clustering.member.any(axis=0).tolist()
+        thetas = (model.positive_theta, model.negative_theta)
+        for theta, row in zip(thetas, table.matrix.tolist()):
+            counts = {
+                word: f
+                for word, f, kept in zip(table.vocabulary, row, clustered)
+                if kept and f > 0
+            }
+            fitted = em_fit(*pack_tokens(counts, cluster_dicts(model)))
+            assert fitted.theta == tuple(theta.tolist())
 
     def test_training_builds_no_fraction(self, sports_corpus, monkeypatch):
         def refuse(cls, *args, **kwargs):
